@@ -19,7 +19,9 @@
  *    island-sharded Parallel kernel, swept across thread counts
  *    (1/2/4/hardware) — the wall-clock ratio against 1 thread is the
  *    parallel speedup tools/bench_report gates on (multi-core hosts
- *    only), and results are bit-identical across the sweep.
+ *    only), and results are bit-identical across the sweep;
+ *  - VidiSan active cycles: the same sweep at 1 and 4 threads with the
+ *    domain race sanitizer armed, pricing its shadow checks.
  *
  * The single-kernel benchmarks take a trailing 0/1 argument selecting
  * the kernel: 0 = FullEval (reference), 1 = ActivityDriven.
@@ -27,6 +29,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+#include <string>
 #include <thread>
 
 #include "apps/app_registry.h"
@@ -114,19 +118,13 @@ class IdleTimer : public Module
 class Producer : public Module
 {
   public:
-    explicit Producer(Channel<uint64_t> &out, int work = 0,
-                      bool footprint = false)
+    explicit Producer(Channel<uint64_t> &out, int work = 0)
         : Module("producer"), out_(&out), work_(work)
     {
         sensitive(out);
-        // The sensitivity is the complete footprint: eligible for
-        // island partitioning under the Parallel kernel — either via the
-        // hand-audited assertion or, for the auto-partition variant, via
-        // a machine-checkable footprint declaration.
-        if (footprint)
-            declareFootprint().readsWrites(out);
-        else
-            setPartitionSafe();
+        // The channel is the complete footprint: eligible for island
+        // partitioning under the Parallel kernel.
+        declareFootprint().readsWrites(out);
     }
 
     void eval() override { out_->push(next_); }
@@ -156,17 +154,14 @@ class Producer : public Module
 class Consumer : public Module
 {
   public:
-    explicit Consumer(Channel<uint64_t> &in, bool footprint = false)
+    explicit Consumer(Channel<uint64_t> &in)
         : Module("consumer"), in_(&in)
     {
         sensitive(in);
         // eval() reads nothing but the declared channel: safe to run
         // only when it changes, and eligible for island partitioning.
         setEvalMode(EvalMode::OnDemand);
-        if (footprint)
-            declareFootprint().readsWrites(in);
-        else
-            setPartitionSafe();
+        declareFootprint().readsWrites(in);
     }
 
     void eval() override { in_->setReady(true); }
@@ -266,6 +261,18 @@ BENCHMARK(BM_ActiveCycles)->Arg(0)->Arg(1);
  */
 constexpr int kMixWork = 512; ///< mixing rounds per producer per cycle
 
+/** kPairs compute-bound producer/consumer pairs, one island each. */
+void
+addMixPairs(Simulator &sim)
+{
+    for (int i = 0; i < kPairs; ++i) {
+        auto &ch = sim.makeChannel<uint64_t>(
+            "ch" + std::to_string(i), 64);
+        sim.add<Producer>(ch, kMixWork);
+        sim.add<Consumer>(ch);
+    }
+}
+
 void
 BM_ParallelActiveCycles(benchmark::State &state)
 {
@@ -273,12 +280,7 @@ BM_ParallelActiveCycles(benchmark::State &state)
     Simulator sim(1);
     sim.setKernelMode(KernelMode::Parallel);
     sim.setSimThreads(threads);
-    for (int i = 0; i < kPairs; ++i) {
-        auto &ch = sim.makeChannel<uint64_t>(
-            "ch" + std::to_string(i), 64);
-        sim.add<Producer>(ch, kMixWork);
-        sim.add<Consumer>(ch);
-    }
+    addMixPairs(sim);
     for (auto _ : state)
         stepChunk(sim);
     state.SetItemsProcessed(int64_t(sim.cycle()));
@@ -302,29 +304,26 @@ BENCHMARK(BM_ParallelActiveCycles)
     });
 
 /**
- * Auto-partition variant of the parallel sweep: the pairs carry
- * declareFootprint() contracts instead of the hand-audited
- * setPartitionSafe(), and the partitioner runs under
- * VIDI_PARTITION=auto — the island cut comes entirely from proven
- * contracts. The second argument arms VidiSan (paranoid mode), pricing
- * the shadow checker's per-access cost against the plain auto row.
+ * VidiSan variant of the parallel sweep: the same 16 declared pairs with
+ * the domain race sanitizer armed (VIDI_SANITIZE=vidi while the
+ * simulator is constructed), pricing the shadow checker's per-access
+ * cost against the BM_ParallelActiveCycles row of the same width.
  */
 void
-BM_AutoPartitionActiveCycles(benchmark::State &state)
+BM_VidiSanActiveCycles(benchmark::State &state)
 {
     const unsigned threads = static_cast<unsigned>(state.range(0));
-    const bool paranoid = state.range(1) != 0;
+    const char *prev = std::getenv("VIDI_SANITIZE");
+    const std::string saved = prev != nullptr ? prev : "";
+    ::setenv("VIDI_SANITIZE", "vidi", 1);
     Simulator sim(1);
+    if (prev != nullptr)
+        ::setenv("VIDI_SANITIZE", saved.c_str(), 1);
+    else
+        ::unsetenv("VIDI_SANITIZE");
     sim.setKernelMode(KernelMode::Parallel);
     sim.setSimThreads(threads);
-    sim.setPartitionMode(paranoid ? PartitionMode::Paranoid
-                                  : PartitionMode::Auto);
-    for (int i = 0; i < kPairs; ++i) {
-        auto &ch = sim.makeChannel<uint64_t>(
-            "ch" + std::to_string(i), 64);
-        sim.add<Producer>(ch, kMixWork, /*footprint=*/true);
-        sim.add<Consumer>(ch, /*footprint=*/true);
-    }
+    addMixPairs(sim);
     for (auto _ : state)
         stepChunk(sim);
     state.SetItemsProcessed(int64_t(sim.cycle()));
@@ -335,11 +334,7 @@ BM_AutoPartitionActiveCycles(benchmark::State &state)
     state.counters["cycles"] = double(sim.cycle());
     state.counters["module_evals"] = double(ks.module_evals);
 }
-BENCHMARK(BM_AutoPartitionActiveCycles)
-    ->Args({1, 0})
-    ->Args({2, 0})
-    ->Args({4, 0})
-    ->Args({4, 1});
+BENCHMARK(BM_VidiSanActiveCycles)->Arg(1)->Arg(4);
 
 /**
  * Idle skip: one timer waking every 1000 cycles, everything else

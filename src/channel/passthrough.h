@@ -32,9 +32,9 @@ class Passthrough : public Module
         setEvalMode(EvalMode::OnDemand);
         sensitive(src_);
         sensitive(dst_);
-        // The two sensitivities above are the complete footprint: the
-        // bridge touches nothing else, so it can be island-partitioned.
-        setPartitionSafe();
+        // Complete footprint: forwards VALID/payload src -> dst and READY
+        // dst -> src, and touches nothing else.
+        declareFootprint().readsWrites(src_).readsWrites(dst_);
     }
 
     uint64_t

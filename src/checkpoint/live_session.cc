@@ -193,7 +193,6 @@ struct LiveSession::Impl
 
         sim.setKernelMode(resolveKernelMode(cfg.kernel));
         sim.setSimThreads(resolveSimThreads(cfg.sim_threads));
-        sim.setPartitionMode(resolvePartitionMode(cfg.partition));
         pcie = &sim.add<PcieBus>("pcie", cfg.pcie_bytes_per_sec,
                                  cfg.clock_hz);
         outer = makeF1Channels(sim, "outer");

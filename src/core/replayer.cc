@@ -18,7 +18,6 @@ replayRun(AppBuilder &app, const Trace &trace, const VidiConfig &cfg)
     Simulator sim(0);
     sim.setKernelMode(resolveKernelMode(cfg.kernel));
     sim.setSimThreads(resolveSimThreads(cfg.sim_threads));
-    sim.setPartitionMode(resolvePartitionMode(cfg.partition));
     HostMemory host;
     // The PCIe bus must tick before every consumer: register it first.
     PcieBus &pcie = sim.add<PcieBus>("pcie", cfg.pcie_bytes_per_sec,

@@ -97,10 +97,11 @@ struct VidiConfig
      * with sensitivity lists and bulk-advances through quiescent
      * stretches; FullEval is the reference kernel that evaluates every
      * module every pass and executes every cycle; Parallel shards the
-     * design into islands and evaluates them on a worker pool. All
-     * modes produce bit-identical traces; the VIDI_KERNEL environment
-     * variable ("full" / "activity" / "parallel") overrides this field
-     * for A/B comparison.
+     * design into islands and evaluates them on a worker pool; the
+     * island cut comes from the modules' declareFootprint() contracts
+     * alone (src/par/partition.h). All modes produce bit-identical
+     * traces; the VIDI_KERNEL environment variable ("full" /
+     * "activity" / "parallel") overrides this field for A/B comparison.
      */
     KernelMode kernel = KernelMode::ActivityDriven;
 
@@ -113,18 +114,6 @@ struct VidiConfig
      * resolveSimThreads()).
      */
     unsigned sim_threads = 0;
-
-    /**
-     * How the Parallel kernel's partitioner promotes modules out of the
-     * residual island. Manual (the default) honors only the hand-
-     * audited setPartitionSafe() opt-in; Auto additionally promotes
-     * modules with a complete declareFootprint() contract; Paranoid is
-     * Auto plus the VidiSan shadow checker force-armed. Promotion never
-     * changes simulation results — only which modules may evaluate
-     * concurrently. The VIDI_PARTITION environment variable ("manual" /
-     * "auto" / "paranoid") overrides this field.
-     */
-    PartitionMode partition = PartitionMode::Manual;
 
     /// @name Fault injection & recovery (robustness validation)
     /// @{
@@ -212,8 +201,8 @@ struct VidiConfig
  *   VIDI_RETRY_BACKOFF_MS  -> retry_backoff_ms
  *   VIDI_THREADS           -> sim_threads
  *
- * (VIDI_KERNEL and VIDI_PARTITION are handled separately by
- * resolveKernelMode()/resolvePartitionMode(), which consult the
+ * (VIDI_KERNEL and VIDI_SANITIZE are handled separately by
+ * resolveKernelMode()/resolveVidiSanArmed(), which consult the
  * environment on every run.) Unset or non-numeric
  * variables leave the field untouched. Both the CLI tools and the
  * vidi_serve daemon call this once at startup so deployments can tune

@@ -135,12 +135,8 @@ elaborateDesign(const Simulator &sim, const Boundary *boundary,
             node.role = ModuleRole::Bridge;
         else if (dynamic_cast<const ChannelReplayer *>(m.get()) != nullptr)
             node.role = ModuleRole::Replayer;
-        node.partition_safe = m->partitionSafe();
         node.footprint_declared = m->footprintDeclared();
-        node.claims = m->claimedChannels();
         node.footprint = m->footprintChannels();
-        node.state_tokens = m->sharedStateTokens();
-        node.coupled = m->coupledModules();
         g.module_index.emplace(m.get(), g.modules.size());
         g.modules.push_back(std::move(node));
     }

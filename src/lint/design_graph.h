@@ -115,18 +115,11 @@ struct ModuleNode
     /** Channels this module declared via sensitive(), in order. */
     std::vector<const ChannelBase *> declared;
 
-    /// @name Partition-safety contract (interference analysis inputs)
+    /// @name Partition contract (interference analysis inputs)
     /// @{
-    bool partition_safe = false;     ///< setPartitionSafe() assertion
     bool footprint_declared = false; ///< has a declareFootprint() contract
-    /** Channels claimed via claim()/sensitive()/declareFootprint(). */
-    std::vector<const ChannelBase *> claims;
-    /** Directional footprint entries (empty without a contract). */
+    /** Directional footprint entries, including sensitive() reads. */
     std::vector<FootprintChannel> footprint;
-    /** Declared shared-state tokens. */
-    std::vector<std::string> state_tokens;
-    /** Directly coupled peers (couple() edges). */
-    std::vector<const Module *> coupled;
     /// @}
 };
 

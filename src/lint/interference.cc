@@ -50,6 +50,17 @@ describeAccesses(const ChannelNode &cn, const Module *m)
     return out;
 }
 
+/** Whether @p mn's footprint (declared or sensitive()) lists @p ch. */
+bool
+inFootprint(const ModuleNode &mn, const ChannelBase *ch)
+{
+    for (const FootprintChannel &fc : mn.footprint) {
+        if (fc.channel == ch)
+            return true;
+    }
+    return false;
+}
+
 /** Every module that observedly touched @p cn, in registration order. */
 std::vector<const Module *>
 touchers(const DesignGraph &g, const ChannelNode &cn)
@@ -160,8 +171,7 @@ analyzeInterference(const DesignGraph &g)
     InterferenceResult r;
     r.modules.resize(g.modules.size());
 
-    // The two island cuts this analysis compares: what the Parallel
-    // kernel builds today (manual) and what auto promotion would build.
+    // The island cut the Parallel kernel builds from the contracts.
     std::vector<const Module *> modules;
     modules.reserve(g.modules.size());
     for (const auto &mn : g.modules)
@@ -170,23 +180,18 @@ analyzeInterference(const DesignGraph &g)
     channels.reserve(g.channels.size());
     for (const auto &cn : g.channels)
         channels.push_back(cn.channel);
-    const Partition manual =
-        computePartition(modules, channels, PartitionMode::Manual);
-    const Partition autop =
-        computePartition(modules, channels, PartitionMode::Auto);
-    r.manual_islands = manual.islandCount();
-    r.manual_residual_modules = manual.residualModules();
-    r.auto_islands = autop.islandCount();
-    r.auto_residual_modules = autop.residualModules();
+    const Partition part = computePartition(modules, channels);
+    r.islands = part.islandCount();
+    r.residual_modules = part.residualModules();
 
     // Per-module verdicts: observed ⊆ declared.
     for (size_t mi = 0; mi < g.modules.size(); ++mi) {
         const ModuleNode &mn = g.modules[mi];
         ModuleInterference &out = r.modules[mi];
         out.module = mn.name;
-        out.provenance = autop.module_safety[mi];
-        out.has_contract = mn.partition_safe || mn.footprint_declared;
-        out.auto_island = autop.module_island[mi];
+        out.provenance = part.module_safety[mi];
+        out.has_contract = mn.footprint_declared;
+        out.island = part.module_island[mi];
 
         if (!out.has_contract) {
             out.verdict = InterferenceVerdict::Unknown;
@@ -194,22 +199,11 @@ analyzeInterference(const DesignGraph &g)
             continue;
         }
 
-        // Declared direction bits per channel. A bare setPartitionSafe()
-        // claim licenses both directions (the claim has no direction
-        // information); a footprint entry licenses exactly its bits.
+        // Declared direction bits per channel: each footprint entry
+        // licenses exactly its bits (a sensitive() entry is a read).
         std::map<const ChannelBase *, uint8_t> declared;
-        if (mn.footprint_declared && !mn.partition_safe) {
-            // sensitive()/claim() entries license reads only (a
-            // sensitivity is a read dependency); footprint entries add
-            // exactly their declared direction bits.
-            for (const ChannelBase *ch : mn.claims)
-                declared[ch] = uint8_t(FootprintDir::Read);
-            for (const FootprintChannel &fc : mn.footprint)
-                declared[fc.channel] |= uint8_t(fc.dir);
-        } else {
-            for (const ChannelBase *ch : mn.claims)
-                declared[ch] = uint8_t(FootprintDir::ReadWrite);
-        }
+        for (const FootprintChannel &fc : mn.footprint)
+            declared[fc.channel] = uint8_t(fc.dir);
 
         for (const auto &cn : g.channels) {
             ObservedDirs d;
@@ -254,7 +248,7 @@ analyzeInterference(const DesignGraph &g)
     }
 
     // Cross-island residual hazard: an uncontracted module observedly
-    // touching a channel the auto cut assigns elsewhere. The partitioner
+    // touching a channel the cut assigns elsewhere. The partitioner
     // cannot see the access (it is undeclared), so the cut would let it
     // cross islands at runtime — promoting the channel's claimants is
     // unsound until the toucher declares. Downgrade them with a witness.
@@ -264,8 +258,8 @@ analyzeInterference(const DesignGraph &g)
             continue;
         for (size_t ci = 0; ci < g.channels.size(); ++ci) {
             const ChannelNode &cn = g.channels[ci];
-            const size_t owner = autop.channel_island[ci];
-            if (owner == autop.module_island[mi])
+            const size_t owner = part.channel_island[ci];
+            if (owner == part.module_island[mi])
                 continue;
             bool touched = false;
             for (SignalSide side :
@@ -282,10 +276,8 @@ analyzeInterference(const DesignGraph &g)
             for (size_t oi = 0; oi < g.modules.size(); ++oi) {
                 const ModuleNode &on = g.modules[oi];
                 if (!r.modules[oi].has_contract ||
-                    autop.module_island[oi] != owner)
-                    continue;
-                if (std::find(on.claims.begin(), on.claims.end(),
-                              cn.channel) == on.claims.end())
+                    part.module_island[oi] != owner ||
+                    !inFootprint(on, cn.channel))
                     continue;
                 InterferenceWitness w;
                 w.channel = cn.name;
@@ -316,15 +308,14 @@ analyzeInterference(const DesignGraph &g)
     }
 
     // Pairwise interference graph: one edge per channel shared by two
-    // modules (observed or claimed — claims count even if calibration
-    // never exercised them).
+    // modules (observed or declared — footprint entries count even if
+    // calibration never exercised them).
     for (const auto &cn : g.channels) {
         std::set<const Module *> set;
         for (const Module *m : touchers(g, cn))
             set.insert(m);
         for (const auto &mn : g.modules) {
-            if (std::find(mn.claims.begin(), mn.claims.end(), cn.channel) !=
-                mn.claims.end())
+            if (inFootprint(mn, cn.channel))
                 set.insert(mn.module);
         }
         std::vector<const Module *> mods(set.begin(), set.end());
@@ -356,12 +347,8 @@ InterferenceResult::toString() const
     out += "  verdicts: " + std::to_string(proven) + " proven, " +
            std::to_string(unsafe) + " unsafe, " + std::to_string(unknown) +
            " unknown\n";
-    out += "  manual cut: " + std::to_string(manual_islands) +
-           " island(s), " + std::to_string(manual_residual_modules) +
-           " residual module(s)\n";
-    out += "  auto cut:   " + std::to_string(auto_islands) +
-           " island(s), " + std::to_string(auto_residual_modules) +
-           " residual module(s)\n";
+    out += "  island cut: " + std::to_string(islands) + " island(s), " +
+           std::to_string(residual_modules) + " residual module(s)\n";
     for (const ModuleInterference &m : modules) {
         out += "  " + m.module + ": " +
                interferenceVerdictName(m.verdict) + " [" +
@@ -387,8 +374,8 @@ InterferenceResult::toJson() const
         jm.set("verdict", interferenceVerdictName(m.verdict));
         jm.set("provenance", safetyProvenanceName(m.provenance));
         jm.set("has_contract", m.has_contract);
-        if (m.auto_island != Partition::kNone)
-            jm.set("auto_island", uint64_t(m.auto_island));
+        if (m.island != Partition::kNone)
+            jm.set("island", uint64_t(m.island));
         if (!m.witnesses.empty()) {
             JsonValue jw = JsonValue::array();
             for (const InterferenceWitness &w : m.witnesses) {
@@ -419,11 +406,8 @@ InterferenceResult::toJson() const
     summary.set("proven", uint64_t(proven));
     summary.set("unsafe", uint64_t(unsafe));
     summary.set("unknown", uint64_t(unknown));
-    summary.set("manual_islands", uint64_t(manual_islands));
-    summary.set("manual_residual_modules",
-                uint64_t(manual_residual_modules));
-    summary.set("auto_islands", uint64_t(auto_islands));
-    summary.set("auto_residual_modules", uint64_t(auto_residual_modules));
+    summary.set("islands", uint64_t(islands));
+    summary.set("residual_modules", uint64_t(residual_modules));
     root.set("summary", std::move(summary));
     return root;
 }
@@ -461,20 +445,20 @@ passInterference(const DesignGraph &g, LintReport &report,
         for (size_t mi = 0; mi < r.modules.size(); ++mi) {
             const ModuleInterference &m = r.modules[mi];
             if (m.provenance == SafetyProvenance::Residual ||
-                m.auto_island == Partition::kNone)
+                m.island == Partition::kNone)
                 continue;
             // A promoted module is "fused" when its island is residual.
             bool in_residual = false;
             for (size_t mj = 0; mj < r.modules.size(); ++mj) {
                 if (r.modules[mj].provenance ==
                         SafetyProvenance::Residual &&
-                    r.modules[mj].auto_island == m.auto_island) {
+                    r.modules[mj].island == m.island) {
                     in_residual = true;
                     break;
                 }
             }
             if (in_residual)
-                fused[m.auto_island].push_back(m.module);
+                fused[m.island].push_back(m.module);
         }
         for (const auto &[island, members] : fused) {
             std::string list;
@@ -500,12 +484,9 @@ passInterference(const DesignGraph &g, LintReport &report,
             "design",
             "verdicts: " + std::to_string(r.proven) + " proven, " +
                 std::to_string(r.unsafe) + " unsafe, " +
-                std::to_string(r.unknown) + " unknown; residual island: " +
-                std::to_string(r.auto_residual_modules) +
-                " module(s) under auto promotion vs " +
-                std::to_string(r.manual_residual_modules) +
-                " under manual (" + std::to_string(r.auto_islands) +
-                " vs " + std::to_string(r.manual_islands) + " island(s))");
+                std::to_string(r.unknown) + " unknown; island cut: " +
+                std::to_string(r.islands) + " island(s), residual island: " +
+                std::to_string(r.residual_modules) + " module(s)");
     }
 
     if (out != nullptr)

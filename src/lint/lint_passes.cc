@@ -6,7 +6,6 @@
 #include "channel/channel.h"
 #include "channel/passthrough.h"
 #include "monitor/channel_monitor.h"
-#include "par/partition.h"
 #include "sim/module.h"
 #include "trace/packets.h"
 
@@ -364,90 +363,12 @@ passStructural(const DesignGraph &g, LintReport &report)
 }
 
 void
-passPartition(const DesignGraph &g, LintReport &report)
-{
-    // A design that never opted in (no partitionSafe() module) is not
-    // asking to be partitioned; stay silent so legacy designs lint
-    // exactly as before.
-    size_t opted_in = 0;
-    for (const auto &mn : g.modules) {
-        if (mn.module->partitionSafe())
-            ++opted_in;
-    }
-    if (opted_in == 0)
-        return;
-
-    // Completeness cross-check: every channel a partitionSafe() module
-    // *actually* touched during the FullEval calibration run must be in
-    // its declared claim()/sensitive() footprint. An undeclared access
-    // may cross islands under KernelMode::Parallel — a data race and a
-    // determinism hole — so this is the one partition Error.
-    for (const auto &mn : g.modules) {
-        if (!mn.module->partitionSafe())
-            continue;
-        const auto &claims = mn.module->claimedChannels();
-        for (const auto &cn : g.channels) {
-            bool touched = false;
-            for (SignalSide side :
-                 {SignalSide::Forward, SignalSide::Reverse}) {
-                const SignalAccess &sa = cn.side(side);
-                touched = touched ||
-                          sa.eval_readers.count(mn.module) != 0 ||
-                          sa.eval_drivers.count(mn.module) != 0 ||
-                          sa.seq_readers.count(mn.module) != 0 ||
-                          sa.seq_drivers.count(mn.module) != 0;
-            }
-            if (!touched)
-                continue;
-            if (std::find(claims.begin(), claims.end(), cn.channel) !=
-                claims.end())
-                continue;
-            report.add(
-                LintSeverity::Error, "partition",
-                "undeclared-island-access", mn.name,
-                "asserts partitionSafe() but touched channel '" + cn.name +
-                    "' during calibration without claiming it; under "
-                    "KernelMode::Parallel this access could cross island "
-                    "boundaries — a data race, and a determinism hole");
-        }
-    }
-
-    std::vector<const Module *> modules;
-    modules.reserve(g.modules.size());
-    for (const auto &mn : g.modules)
-        modules.push_back(mn.module);
-    std::vector<const ChannelBase *> channels;
-    channels.reserve(g.channels.size());
-    for (const auto &cn : g.channels)
-        channels.push_back(cn.channel);
-    const Partition part = computePartition(modules, channels);
-
-    report.add(LintSeverity::Note, "partition", "island-cut", "design",
-               "island cut: " + part.summary());
-
-    if (part.islandCount() <= 1 && g.modules.size() >= 2) {
-        report.add(
-            LintSeverity::Warning, "partition", "parallel-degenerate",
-            "design",
-            std::to_string(opted_in) + " of " +
-                std::to_string(g.modules.size()) +
-                " modules assert partitionSafe(), yet the design still "
-                "cuts into a single island — KernelMode::Parallel will "
-                "run it sequentially (correct, but no speedup). The " +
-                std::to_string(g.modules.size() - opted_in) +
-                " undeclared modules fuse into one residual island that "
-                "absorbs everything coupled to them");
-    }
-}
-
-void
 runLintPasses(const DesignGraph &g, LintReport &report)
 {
     passCombinationalLoops(g, report);
     passBoundaryCoverage(g, report);
     passSensitivitySoundness(g, report);
     passStructural(g, report);
-    passPartition(g, report);
 }
 
 } // namespace vidi

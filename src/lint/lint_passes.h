@@ -31,16 +31,9 @@
  *     boundary, and boundaries wider than the trace format's vector
  *     clock (kMaxChannels).
  *
- *  5. Island partitioning (pass "partition"): computes the island cut
- *     the Parallel kernel would use (src/par/partition.h) and
- *     cross-checks every partitionSafe() module's *observed*
- *     calibration accesses against its declared claim()/sensitive()
- *     footprint — an undeclared access could cross islands at runtime,
- *     which is a data race and a determinism hole (Error). Also reports
- *     the cut itself and flags designs that degenerate to a single
- *     island despite having opted-in modules (the Parallel kernel then
- *     runs them sequentially). Designs with no partitionSafe() modules
- *     at all produce no findings: they never asked to be partitioned.
+ * Partition safety is not a default pass: `vidi_lint --interference`
+ * (src/lint/interference.h) proves each module's declareFootprint()
+ * contract and reports the island cut.
  */
 
 #ifndef VIDI_LINT_LINT_PASSES_H
@@ -55,9 +48,8 @@ void passCombinationalLoops(const DesignGraph &g, LintReport &report);
 void passBoundaryCoverage(const DesignGraph &g, LintReport &report);
 void passSensitivitySoundness(const DesignGraph &g, LintReport &report);
 void passStructural(const DesignGraph &g, LintReport &report);
-void passPartition(const DesignGraph &g, LintReport &report);
 
-/** Run all five passes in the order above. */
+/** Run all four passes in the order above. */
 void runLintPasses(const DesignGraph &g, LintReport &report);
 
 } // namespace vidi

@@ -43,13 +43,15 @@ class UnionFind
     std::vector<size_t> parent_;
 };
 
-/** Whether @p m carries a completeness contract under @p mode. */
+/** Whether @p m's footprint lists @p ch. */
 bool
-promoted(const Module *m, PartitionMode mode)
+inFootprint(const Module *m, const ChannelBase *ch)
 {
-    if (m->partitionSafe())
-        return true;
-    return mode != PartitionMode::Manual && m->footprintDeclared();
+    for (const FootprintChannel &fc : m->footprintChannels()) {
+        if (fc.channel == ch)
+            return true;
+    }
+    return false;
 }
 
 } // namespace
@@ -60,18 +62,15 @@ safetyProvenanceName(SafetyProvenance p)
     switch (p) {
     case SafetyProvenance::Residual:
         return "residual";
-    case SafetyProvenance::Manual:
-        return "manual";
-    case SafetyProvenance::AutoProven:
-        return "auto-proven";
+    case SafetyProvenance::Proven:
+        return "proven";
     }
     return "?";
 }
 
 Partition
 computePartition(const std::vector<const Module *> &modules,
-                 const std::vector<const ChannelBase *> &channels,
-                 PartitionMode mode)
+                 const std::vector<const ChannelBase *> &channels)
 {
     const size_t nmod = modules.size();
     const size_t nchan = channels.size();
@@ -85,12 +84,12 @@ computePartition(const std::vector<const Module *> &modules,
     for (size_t i = 0; i < nchan; ++i)
         chan_of[channels[i]] = i;
 
-    // Claim and couple edges. Claims naming channels (or peers) outside
-    // the design — possible in unit fixtures wiring channels by hand —
-    // are ignored rather than crashed on.
+    // Footprint and coupling edges. Entries naming channels (or peers)
+    // outside the design — possible in unit fixtures wiring channels by
+    // hand — are ignored rather than crashed on.
     for (size_t i = 0; i < nmod; ++i) {
-        for (const ChannelBase *ch : modules[i]->claimedChannels()) {
-            auto it = chan_of.find(ch);
+        for (const FootprintChannel &fc : modules[i]->footprintChannels()) {
+            auto it = chan_of.find(fc.channel);
             if (it != chan_of.end())
                 uf.merge(i, nmod + it->second);
         }
@@ -119,7 +118,7 @@ computePartition(const std::vector<const Module *> &modules,
     // makes any sharing safe, exactly as in the sequential kernel).
     size_t residual_anchor = Partition::kNone;
     for (size_t i = 0; i < nmod; ++i) {
-        if (promoted(modules[i], mode))
+        if (modules[i]->footprintDeclared())
             continue;
         if (residual_anchor == Partition::kNone)
             residual_anchor = i;
@@ -127,20 +126,17 @@ computePartition(const std::vector<const Module *> &modules,
             uf.merge(residual_anchor, i);
     }
 
-    // Unclaimed channels can only be touched by legacy modules (a
-    // partition-safe module claims everything it touches), so they
+    // Unclaimed channels can only be touched by undeclared modules (a
+    // declared module's footprint lists everything it touches), so they
     // belong to the residual component too.
     for (size_t i = 0; i < nchan; ++i) {
         bool claimed = false;
-        for (size_t m = 0; m < nmod && !claimed; ++m) {
-            const auto &claims = modules[m]->claimedChannels();
-            claimed = std::find(claims.begin(), claims.end(),
-                                channels[i]) != claims.end();
-        }
+        for (size_t m = 0; m < nmod && !claimed; ++m)
+            claimed = inFootprint(modules[m], channels[i]);
         if (claimed)
             continue;
         if (residual_anchor == Partition::kNone) {
-            // Fully opted-in design with an untouched channel: park it
+            // Fully declared design with an untouched channel: park it
             // with the first module so it still has an owner.
             if (nmod > 0)
                 uf.merge(0, nmod + i);
@@ -189,19 +185,16 @@ computePartition(const std::vector<const Module *> &modules,
         part.islands[part.residual].residual = true;
     }
 
-    part.mode = mode;
     part.module_safety.assign(nmod, SafetyProvenance::Residual);
     part.residual_witness.assign(nmod, std::string());
     for (size_t i = 0; i < nmod; ++i) {
-        if (modules[i]->partitionSafe())
-            part.module_safety[i] = SafetyProvenance::Manual;
-        else if (promoted(modules[i], mode))
-            part.module_safety[i] = SafetyProvenance::AutoProven;
+        if (modules[i]->footprintDeclared())
+            part.module_safety[i] = SafetyProvenance::Proven;
     }
 
     // Witness computation: a promoted module inside the residual island
     // got dragged in through some declared edge; name the first direct
-    // one (a claimed channel also claimed by an undeclared module, or an
+    // one (a footprint channel an undeclared module is sensitive to, or an
     // undeclared coupled peer) so diagnostics can cite it.
     if (part.residual != Partition::kNone) {
         for (size_t i = 0; i < nmod; ++i) {
@@ -209,16 +202,14 @@ computePartition(const std::vector<const Module *> &modules,
                 part.module_island[i] != part.residual)
                 continue;
             std::string witness;
-            for (const ChannelBase *ch : modules[i]->claimedChannels()) {
-                auto cit = chan_of.find(ch);
-                if (cit == chan_of.end())
+            for (const FootprintChannel &fc :
+                 modules[i]->footprintChannels()) {
+                const ChannelBase *ch = fc.channel;
+                if (chan_of.find(ch) == chan_of.end())
                     continue;
                 for (size_t m = 0; m < nmod && witness.empty(); ++m) {
-                    if (part.module_safety[m] != SafetyProvenance::Residual)
-                        continue;
-                    const auto &claims = modules[m]->claimedChannels();
-                    if (std::find(claims.begin(), claims.end(), ch) !=
-                        claims.end())
+                    if (part.module_safety[m] == SafetyProvenance::Residual &&
+                        inFootprint(modules[m], ch))
                         witness = "channel '" + ch->name() +
                                   "' shared with undeclared module '" +
                                   modules[m]->name() + "'";

@@ -12,22 +12,23 @@
  * cross-island effect (counter deltas, raised exceptions) is staged
  * per island and committed at the barrier in fixed island order.
  *
- * The inputs are the footprint declarations of Module: claim() /
- * sensitive() edges between modules and channels, couple() edges
- * between modules, and the partitionSafe() completeness assertion.
- * Partitioning is conservative:
+ * The input is one contract, Module::declareFootprint(): channel
+ * entries (plus the read entries sensitive() adds) link a module to
+ * channels, couples() links it to peer modules, and state() tokens link
+ * every declarer of one shared object. Partitioning is conservative:
  *
- *  - every module that does NOT assert partitionSafe() is fused into a
+ *  - every module that did NOT call declareFootprint() is fused into a
  *    single *residual* island (its undeclared accesses could reach
- *    anything owned by another legacy module);
- *  - every channel with no claimants at all joins the residual island;
- *  - claim and couple edges union islands transitively.
+ *    anything owned by another undeclared module);
+ *  - every channel in no module's footprint joins the residual island;
+ *  - footprint, coupling and state-token edges union islands
+ *    transitively.
  *
- * A design whose modules never opted in therefore degenerates to one
+ * A design whose modules never declared therefore degenerates to one
  * island — exactly the sequential activity schedule, still correct,
- * just not parallel. The lint "partition" pass reports the island cut
- * and flags the degeneration plus any partition-safe module whose
- * *observed* calibration accesses exceed its declarations.
+ * just not parallel. `vidi_lint --interference` proves each
+ * declaration against the calibration run and reports promoted modules
+ * that still fused into the residual island ("parallel-degenerate").
  *
  * Islands are canonically ordered by their lowest module registration
  * index, and module/channel lists inside an island are sorted in
@@ -43,8 +44,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/kernel_mode.h"
-
 namespace vidi {
 
 class ChannelBase;
@@ -53,16 +52,14 @@ class Module;
 /**
  * Why a module sits where it sits in the island cut.
  *
- * - Residual: no completeness contract at all — fused into the residual
+ * - Residual: no declareFootprint() contract — fused into the residual
  *   island because its accesses are undeclared.
- * - Manual: promoted by the hand-audited setPartitionSafe() assertion.
- * - AutoProven: promoted (under PartitionMode::Auto/Paranoid) by a
- *   declareFootprint() contract that the interference analysis can
- *   prove and VidiSan can enforce.
+ * - Proven: promoted by a declareFootprint() contract that the
+ *   interference analysis can prove and VidiSan can enforce.
  */
-enum class SafetyProvenance : uint8_t { Residual, Manual, AutoProven };
+enum class SafetyProvenance : uint8_t { Residual, Proven };
 
-/** Human-readable provenance name ("residual"/"manual"/"auto-proven"). */
+/** Human-readable provenance name ("residual"/"proven"). */
 const char *safetyProvenanceName(SafetyProvenance p);
 
 /** One island of the partition. */
@@ -72,8 +69,8 @@ struct IslandDef
     std::vector<size_t> modules;
     /** Channel indices (into the design's creation order), sorted. */
     std::vector<size_t> channels;
-    /** Whether this is the residual island of non-partition-safe
-     *  modules and unclaimed channels. */
+    /** Whether this is the residual island of undeclared modules and
+     *  unclaimed channels. */
     bool residual = false;
 };
 
@@ -90,11 +87,8 @@ struct Partition
     std::vector<size_t> module_island;
     /** Island index of each channel, by creation index. */
     std::vector<size_t> channel_island;
-    /** Index of the residual island, or kNone if all modules opted in. */
+    /** Index of the residual island, or kNone if all modules declared. */
     size_t residual = kNone;
-
-    /** Promotion mode this cut was computed under. */
-    PartitionMode mode = PartitionMode::Manual;
 
     /** Safety provenance of each module, by registration index. */
     std::vector<SafetyProvenance> module_safety;
@@ -122,14 +116,9 @@ struct Partition
  *
  * @param modules design modules in registration order
  * @param channels design channels in creation order
- * @param mode which completeness contracts promote a module out of the
- *        residual island: Manual honors only setPartitionSafe();
- *        Auto/Paranoid additionally promote declareFootprint() modules
- *        and co-locate modules sharing a declared state token.
  */
 Partition computePartition(const std::vector<const Module *> &modules,
-                           const std::vector<const ChannelBase *> &channels,
-                           PartitionMode mode = PartitionMode::Manual);
+                           const std::vector<const ChannelBase *> &channels);
 
 } // namespace vidi
 

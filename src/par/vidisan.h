@@ -5,8 +5,8 @@
  * The interference analysis (src/lint/interference.h) proves partition
  * safety *statically*, from calibration observations checked against
  * declared footprints. VidiSan is the runtime backstop: armed via
- * VIDI_SANITIZE=vidi (or compiled in with -DVIDI_SANITIZE=vidi, or
- * implied by VIDI_PARTITION=paranoid), it shadows every channel/state
+ * VIDI_SANITIZE=vidi (or compiled in with -DVIDI_SANITIZE=vidi; see
+ * resolveVidiSanArmed()), it shadows every channel/state
  * access made during island execution with the executing island and the
  * island's vector-clock component, and aborts with a structured report
  * the moment an access lands on a channel (or declared state token) the

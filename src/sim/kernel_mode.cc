@@ -38,53 +38,20 @@ resolveKernelMode(KernelMode configured)
     return configured;
 }
 
-const char *
-partitionModeName(PartitionMode mode)
+bool
+resolveVidiSanArmed()
 {
-    switch (mode) {
-    case PartitionMode::Manual:
-        return "manual";
-    case PartitionMode::Auto:
-        return "auto";
-    case PartitionMode::Paranoid:
-        return "paranoid";
-    }
-    return "?";
-}
-
-PartitionMode
-resolvePartitionMode(PartitionMode configured)
-{
-    const char *env = std::getenv("VIDI_PARTITION");
+#ifdef VIDI_SANITIZE_VIDI
+    return true;
+#else
+    const char *env = std::getenv("VIDI_SANITIZE");
     if (env == nullptr)
-        return configured;
+        return false;
     std::string v(env);
     for (char &c : v)
         c = (c >= 'A' && c <= 'Z') ? char(c - 'A' + 'a') : c;
-    if (v == "manual")
-        return PartitionMode::Manual;
-    if (v == "auto")
-        return PartitionMode::Auto;
-    if (v == "paranoid")
-        return PartitionMode::Paranoid;
-    return configured;
-}
-
-bool
-resolveVidiSanArmed(bool configured)
-{
-#ifdef VIDI_SANITIZE_VIDI
-    configured = true;
+    return v == "vidi";
 #endif
-    const char *env = std::getenv("VIDI_SANITIZE");
-    if (env != nullptr) {
-        std::string v(env);
-        for (char &c : v)
-            c = (c >= 'A' && c <= 'Z') ? char(c - 'A' + 'a') : c;
-        if (v == "vidi")
-            return true;
-    }
-    return configured;
 }
 
 unsigned

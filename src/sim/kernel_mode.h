@@ -13,7 +13,9 @@
  * produce bit-identical traces; ActivityDriven is the default, and the
  * VIDI_KERNEL environment variable ("full" / "activity" / "parallel")
  * overrides whatever was configured. VIDI_THREADS sizes the Parallel
- * worker pool.
+ * worker pool, and VIDI_SANITIZE=vidi arms its domain race sanitizer.
+ * The island cut itself has no knob: it comes from the modules'
+ * declareFootprint() contracts (src/par/partition.h).
  */
 
 #ifndef VIDI_SIM_KERNEL_MODE_H
@@ -51,39 +53,13 @@ KernelMode resolveKernelMode(KernelMode configured);
 unsigned resolveSimThreads(unsigned configured);
 
 /**
- * How the Parallel kernel's island partitioner promotes modules out of
- * the residual island (see src/par/partition.h).
- *
- * - Manual: only modules that called setPartitionSafe() — the hand-
- *   audited opt-in — leave the residual island. This is the default and
- *   exactly the pre-interference-analysis behavior.
- * - Auto: modules with a complete declareFootprint() contract are also
- *   promoted. The contract is proven offline by `vidi_lint
- *   --interference` (observed calibration accesses ⊆ declaration) and
- *   enforced at runtime by VidiSan when armed.
- * - Paranoid: Auto promotion, plus VidiSan is force-armed so every
- *   channel/state access during island execution is checked against the
- *   partition's licenses.
- */
-enum class PartitionMode : uint8_t { Manual, Auto, Paranoid };
-
-/** Human-readable partition-mode name. */
-const char *partitionModeName(PartitionMode mode);
-
-/**
- * Apply the VIDI_PARTITION environment override to @p configured.
- * Recognised values: "manual", "auto", "paranoid". Unset or
- * unrecognised values leave @p configured unchanged.
- */
-PartitionMode resolvePartitionMode(PartitionMode configured);
-
-/**
- * Whether the VidiSan shadow checker should be armed for Parallel runs
- * regardless of PartitionMode: true when the tree was compiled with
+ * Whether the VidiSan shadow checker (src/par/vidisan.h) is armed for
+ * Parallel runs: true when the tree was compiled with
  * -DVIDI_SANITIZE=vidi (the VIDI_SANITIZE_VIDI macro) or when the
- * VIDI_SANITIZE environment variable is set to "vidi" at runtime.
+ * VIDI_SANITIZE environment variable is "vidi". This is the one switch
+ * for VidiSan.
  */
-bool resolveVidiSanArmed(bool configured);
+bool resolveVidiSanArmed();
 
 } // namespace vidi
 

@@ -25,22 +25,7 @@ Module::sensitive(ChannelBase &ch)
 {
     ch.addListener(this);
     has_sensitivities_ = true;
-    claim(ch);
-}
-
-void
-Module::claim(ChannelBase &ch)
-{
-    if (std::find(claims_.begin(), claims_.end(), &ch) == claims_.end())
-        claims_.push_back(&ch);
-}
-
-void
-Module::couple(Module &other)
-{
-    if (std::find(couples_.begin(), couples_.end(), &other) ==
-        couples_.end())
-        couples_.push_back(&other);
+    addFootprint(ch, FootprintDir::Read);
 }
 
 Module::FootprintBuilder
@@ -53,7 +38,6 @@ Module::declareFootprint()
 void
 Module::addFootprint(ChannelBase &ch, FootprintDir dir)
 {
-    claim(ch);
     for (FootprintChannel &fc : footprint_) {
         if (fc.channel == &ch) {
             fc.dir = FootprintDir(uint8_t(fc.dir) | uint8_t(dir));
@@ -94,9 +78,11 @@ Module::FootprintBuilder::state(std::string token)
 }
 
 Module::FootprintBuilder &
-Module::FootprintBuilder::couples(Module &peer)
+Module::FootprintBuilder::couples(const Module &peer)
 {
-    m_.couple(peer);
+    auto &couples = m_.couples_;
+    if (std::find(couples.begin(), couples.end(), &peer) == couples.end())
+        couples.push_back(&peer);
     return *this;
 }
 

@@ -172,45 +172,21 @@ class Module
     /// @name Partition footprint (read by the island partitioner)
     /// @{
     /**
-     * Whether this module asserts that its declared footprint — the
-     * channels passed to claim()/sensitive() and the peers passed to
-     * couple() — is *complete*: it touches no channel and no foreign
-     * module state beyond what it declared. Only partition-safe modules
-     * may be placed in their own island; everything else is
-     * conservatively fused into one residual island (see
-     * src/par/partition.h). The lint "partition" pass cross-checks
-     * these declarations against the accesses observed during the
-     * calibration run.
-     */
-    bool partitionSafe() const { return partition_safe_; }
-
-    /** Channels this module declared it may touch, in declaration order. */
-    const std::vector<const ChannelBase *> &
-    claimedChannels() const
-    {
-        return claims_;
-    }
-
-    /** Modules this module declared direct (non-channel) coupling with. */
-    const std::vector<const Module *> &
-    coupledModules() const
-    {
-        return couples_;
-    }
-
-    /**
-     * Whether this module declared its static footprint via
-     * declareFootprint(). A declared footprint is a *complete,
-     * machine-checkable* contract (unlike the bare setPartitionSafe()
-     * assertion, it carries access directions and named shared state),
-     * so the interference analysis (src/lint/interference.h) can prove
-     * it against the calibration run and VIDI_PARTITION=auto can
-     * promote the module out of the residual island without a hand
-     * audit.
+     * Whether this module called declareFootprint(). This is the one
+     * partition contract: a module leaves the residual island exactly
+     * when it declared its footprint (see src/par/partition.h). The
+     * interference analysis (src/lint/interference.h) proves the
+     * declaration against the calibration run and VidiSan enforces it
+     * at runtime.
      */
     bool footprintDeclared() const { return footprint_declared_; }
 
-    /** Declared channel footprint with access directions, in order. */
+    /**
+     * Channel footprint with access directions, in declaration order.
+     * sensitive() contributes read entries even without a contract, so
+     * the partitioner also sees which channels an undeclared module
+     * reads.
+     */
     const std::vector<FootprintChannel> &
     footprintChannels() const
     {
@@ -231,6 +207,17 @@ class Module
     }
 
     /**
+     * Modules this module declared direct (non-channel) coupling with
+     * via FootprintBuilder::couples(). The partitioner keeps coupled
+     * modules in the same island.
+     */
+    const std::vector<const Module *> &
+    coupledModules() const
+    {
+        return couples_;
+    }
+
+    /**
      * Fluent collector returned by declareFootprint(). Each call merges
      * into the module's footprint: directions OR together on repeated
      * channels, state tokens and couplings deduplicate.
@@ -247,7 +234,7 @@ class Module
         /** This module touches the named shared (non-channel) state. */
         FootprintBuilder &state(std::string token);
         /** This module calls into / shares buffers with @p peer. */
-        FootprintBuilder &couples(Module &peer);
+        FootprintBuilder &couples(const Module &peer);
 
       private:
         friend class Module;
@@ -259,16 +246,16 @@ class Module
      * Declare this module's *complete* static footprint: every channel
      * it may read or drive (with direction), every named shared-state
      * object it touches, and every module it is directly coupled to.
-     * Channel entries imply claim(); couplings imply couple().
+     * Channels passed to sensitive() count as declared reads.
      *
      * Calling this — even with no entries — asserts completeness: the
      * module touches nothing beyond what it declares. The interference
      * analysis checks the assertion against the calibration run
      * (observed ⊆ declared, per direction) and VidiSan enforces it at
-     * runtime, which is what licenses VIDI_PARTITION=auto to promote
-     * the module out of the residual island without setPartitionSafe().
+     * runtime, which is what licenses the partitioner to place the
+     * module outside the residual island.
      *
-     * Public (unlike sensitive()/claim()) because contract facts split
+     * Public (unlike sensitive()) because contract facts split
      * between two owners: a module's own constructor declares the
      * channels it touches, while the *assembly site* that wires modules
      * together declares couplings and shared-state tokens only it knows
@@ -296,32 +283,11 @@ class Module
 
     /**
      * Declare that eval() reads @p ch: the channel will mark this module
-     * for re-evaluation whenever one of its signals changes. Implies
-     * claim(ch).
+     * for re-evaluation whenever one of its signals changes. A
+     * scheduling hint that also adds a read entry to the footprint; it
+     * is not a contract on its own.
      */
     void sensitive(ChannelBase &ch);
-
-    /**
-     * Declare that this module may read or drive @p ch in some phase
-     * (without subscribing to re-evaluation). Partitioning input: a
-     * channel's island is the union of its claimants' islands.
-     */
-    void claim(ChannelBase &ch);
-
-    /**
-     * Declare direct object coupling with @p other (method calls, shared
-     * buffers — anything that bypasses channels). The partitioner keeps
-     * coupled modules in the same island.
-     */
-    void couple(Module &other);
-
-    /**
-     * Assert that every channel access and every direct module coupling
-     * of this module is covered by claim()/sensitive()/couple()
-     * declarations, making it eligible for island placement outside the
-     * residual island.
-     */
-    void setPartitionSafe() { partition_safe_ = true; }
 
   private:
     friend class Simulator;
@@ -331,10 +297,8 @@ class Module
     EvalMode eval_mode_ = EvalMode::EveryCycle;
     bool needs_eval_ = true;
     bool has_sensitivities_ = false;
-    bool partition_safe_ = false;
     bool footprint_declared_ = false;
     uint64_t eval_count_ = 0;
-    std::vector<const ChannelBase *> claims_;
     std::vector<const Module *> couples_;
     std::vector<FootprintChannel> footprint_;
     std::vector<std::string> state_tokens_;

@@ -15,8 +15,7 @@ namespace vidi {
 Simulator::Simulator(uint64_t seed)
     : mode_(resolveKernelMode(KernelMode::ActivityDriven)),
       sim_threads_(resolveSimThreads(1)),
-      partition_mode_(resolvePartitionMode(PartitionMode::Manual)),
-      vidisan_requested_(resolveVidiSanArmed(false)), rng_(seed)
+      vidisan_requested_(resolveVidiSanArmed()), rng_(seed)
 {
 }
 
@@ -28,15 +27,6 @@ Simulator::setKernelMode(KernelMode mode)
     if (mode == mode_)
         return;
     mode_ = mode;
-    invalidatePartition();
-}
-
-void
-Simulator::setPartitionMode(PartitionMode mode)
-{
-    if (mode == partition_mode_)
-        return;
-    partition_mode_ = mode;
     invalidatePartition();
 }
 
@@ -249,7 +239,7 @@ Simulator::ensurePartition()
     for (const auto &ch : channels_)
         chans.push_back(ch.get());
     partition_ = std::make_unique<Partition>(
-        computePartition(mods, chans, partition_mode_));
+        computePartition(mods, chans));
 
     islands_.clear();
     islands_.resize(partition_->islands.size());
@@ -274,8 +264,8 @@ Simulator::ensurePartition()
             &islands_[partition_->channel_island[ci]].dirty);
 
     // Arm the domain race sanitizer when requested (VIDI_SANITIZE=vidi /
-    // -DVIDI_SANITIZE=vidi) or implied (paranoid promotion mode).
-    if (vidisan_requested_ || partition_mode_ == PartitionMode::Paranoid) {
+    // -DVIDI_SANITIZE=vidi).
+    if (vidisan_requested_) {
         vidisan_ = std::make_unique<VidiSan>();
         vidisan_->arm(*partition_, mods, chans);
         vidisan_->setCycle(cycle_);
@@ -639,7 +629,6 @@ Simulator::kernelStats() const
     KernelStats s;
     s.mode = mode_;
     s.threads = sim_threads_;
-    s.partition_mode = partition_mode_;
     s.vidisan = vidisan_ != nullptr;
     s.cycles = cycle_;
     s.eval_passes = total_eval_passes_;
@@ -715,11 +704,8 @@ KernelStats::toString() const
     };
     if (mode == KernelMode::Parallel) {
         line("threads:            ", threads);
-        out += "partition mode:     ";
-        out += partitionModeName(partition_mode);
         if (vidisan)
-            out += " (vidisan armed)";
-        out += "\n";
+            out += "vidisan armed\n";
         line("islands:            ", islands.size());
     }
     line("cycles:             ", cycles);

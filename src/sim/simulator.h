@@ -80,7 +80,7 @@ struct IslandStats
     uint64_t cycles_executed = 0; ///< cycles with real phase work
     uint64_t cycles_skipped = 0;  ///< island-locally skipped cycles
     /** Island members annotated with their safety provenance
-     *  ("manual" / "auto-proven" / "residual") and, for promoted
+     *  ("proven" / "residual") and, for promoted
      *  modules fused into the residual island, the witness that
      *  dragged them in. */
     std::vector<std::string> members;
@@ -92,7 +92,6 @@ struct IslandStats
 struct KernelStats
 {
     KernelMode mode = KernelMode::ActivityDriven;
-    PartitionMode partition_mode = PartitionMode::Manual;
     bool vidisan = false;        ///< shadow checker armed (Parallel only)
     unsigned threads = 1;        ///< worker-pool width (Parallel only)
     uint64_t cycles = 0;         ///< current cycle count
@@ -225,17 +224,8 @@ class Simulator
     void setSimThreads(unsigned threads);
     unsigned simThreads() const { return sim_threads_; }
 
-    /**
-     * Select how the Parallel partitioner promotes modules out of the
-     * residual island (see PartitionMode). Paranoid additionally arms
-     * the VidiSan shadow checker for every parallel step. Affects
-     * scheduling only, never results.
-     */
-    void setPartitionMode(PartitionMode mode);
-    PartitionMode partitionMode() const { return partition_mode_; }
-
     /** The VidiSan instance checking this simulator's parallel steps,
-     *  or nullptr when not armed. */
+     *  or nullptr when not armed (see resolveVidiSanArmed()). */
     VidiSan *vidisan() const { return vidisan_.get(); }
 
     /**
@@ -335,10 +325,9 @@ class Simulator
     uint64_t skip_events_ = 0;
     KernelMode mode_;
     unsigned sim_threads_ = 1;
-    PartitionMode partition_mode_;
-    /** Arm VidiSan for parallel steps even outside Paranoid mode
-     *  (compiled in by -DVIDI_SANITIZE=vidi or requested via the
-     *  VIDI_SANITIZE=vidi environment variable). */
+    /** Arm VidiSan for parallel steps (compiled in by
+     *  -DVIDI_SANITIZE=vidi or requested via the VIDI_SANITIZE=vidi
+     *  environment variable when the simulator is constructed). */
     bool vidisan_requested_;
     /** Raised by any channel markDirty(); cleared per settling pass. */
     bool settle_dirty_ = false;

@@ -16,7 +16,9 @@
  * third axis: thread count. The ParallelAB matrix records and replays
  * every Table 1 application under Parallel x {1,2,4} threads and
  * requires byte-identical traces against the sequential baseline —
- * thread count must be a pure performance knob.
+ * thread count must be a pure performance knob. It also requires that
+ * every module of the record and replay designs carries a footprint
+ * contract, so no island of either cut is residual.
  */
 
 #include <gtest/gtest.h>
@@ -234,10 +236,24 @@ TEST_P(ParallelAB, RecordAndReplayBitIdenticalAcrossThreads)
         replayRun(*app, base.trace, cfgMode(KernelMode::ActivityDriven));
     ASSERT_TRUE(rep_base.completed);
 
+    // Every module declares its footprint, so neither cut has a
+    // residual island; a missing coupling there (e.g. one component
+    // that calls into another by reference) splits the design wrongly
+    // and the replay stalls.
+    auto expectNoResidual = [](const KernelStats &ks, const char *what,
+                               unsigned threads) {
+        ASSERT_FALSE(ks.islands.empty()) << what << " threads=" << threads;
+        for (const IslandStats &isl : ks.islands)
+            EXPECT_FALSE(isl.residual)
+                << what << " threads=" << threads << " island "
+                << isl.anchor;
+    };
+
     for (const unsigned threads : {1u, 2u, 4u}) {
         const RecordResult par = recordRun(*app, VidiMode::R2_Record, 7,
                                            cfgParallel(threads));
         ASSERT_TRUE(par.completed) << "threads=" << threads;
+        expectNoResidual(par.kernel, "record", threads);
         EXPECT_EQ(par.cycles, base.cycles) << "threads=" << threads;
         EXPECT_EQ(par.digest, base.digest) << "threads=" << threads;
         EXPECT_EQ(par.transactions, base.transactions)
@@ -248,6 +264,7 @@ TEST_P(ParallelAB, RecordAndReplayBitIdenticalAcrossThreads)
         const ReplayResult rep =
             replayRun(*app, base.trace, cfgParallel(threads));
         ASSERT_TRUE(rep.completed) << "threads=" << threads;
+        expectNoResidual(rep.kernel, "replay", threads);
         EXPECT_EQ(rep.cycles, rep_base.cycles) << "threads=" << threads;
         EXPECT_EQ(rep.digest, rep_base.digest) << "threads=" << threads;
         EXPECT_EQ(rep.replayed_transactions,

@@ -16,8 +16,8 @@
  *                 also run the interference analysis: per-module
  *                 partition-safety verdicts (proven / unsafe-with-witness
  *                 / unknown), the pairwise interference graph, and the
- *                 auto-vs-manual island-cut preview. An unprovable
- *                 promotion is an Error (nonzero exit)
+ *                 island-cut preview. An unprovable promotion is an
+ *                 Error (nonzero exit)
  *   --scale <s>   calibration workload scale (default 0.1)
  *   --seed <n>    calibration run seed (default 1)
  *   --mask <hex>  monitored-channel mask, as VidiConfig::monitor_mask
