@@ -139,6 +139,14 @@ class ContentBuf
                std::memcmp(data(), v.data(), size_) == 0;
     }
 
+    /** Replace the contents with @p n bytes copied from @p src. */
+    void
+    assign(const uint8_t *src, size_t n)
+    {
+        reserveExact(n);
+        std::memcpy(data(), src, n);
+    }
+
   private:
     void
     reserveExact(size_t n)
@@ -148,13 +156,6 @@ class ContentBuf
         else
             heap_.reset();
         size_ = n;
-    }
-
-    void
-    assign(const uint8_t *src, size_t n)
-    {
-        reserveExact(n);
-        std::memcpy(data(), src, n);
     }
 
     size_t size_ = 0;

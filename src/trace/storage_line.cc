@@ -12,17 +12,27 @@ namespace vidi {
 
 namespace {
 
-std::array<uint32_t, 256>
-makeCrcTable()
+/**
+ * Slicing-by-8 tables for the reflected IEEE polynomial: t[0] is the
+ * classic bytewise table, and t[k][b] is the CRC of byte b followed by
+ * k zero bytes, so eight table lookups fold eight input bytes at once.
+ */
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables
+makeCrcTables()
 {
-    std::array<uint32_t, 256> table{};
+    CrcTables t{};
     for (uint32_t i = 0; i < 256; ++i) {
         uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-        table[i] = c;
+        t[0][i] = c;
     }
-    return table;
+    for (uint32_t i = 0; i < 256; ++i)
+        for (size_t k = 1; k < t.size(); ++k)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+    return t;
 }
 
 void
@@ -46,10 +56,18 @@ get32(const uint8_t *p)
 uint32_t
 crc32(const uint8_t *data, size_t len, uint32_t seed)
 {
-    static const std::array<uint32_t, 256> table = makeCrcTable();
+    static const CrcTables t = makeCrcTables();
     uint32_t c = seed ^ 0xffffffffu;
-    for (size_t i = 0; i < len; ++i)
-        c = table[(c ^ data[i]) & 0xffu] ^ (c >> 8);
+    for (; len >= 8; data += 8, len -= 8) {
+        const uint32_t lo = c ^ get32(data);
+        const uint32_t hi = get32(data + 4);
+        c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+            t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+            t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    }
+    for (; len > 0; ++data, --len)
+        c = t[0][(c ^ *data) & 0xffu] ^ (c >> 8);
     return c ^ 0xffffffffu;
 }
 

@@ -17,25 +17,13 @@ constexpr uint8_t kTagSame = 0;
 constexpr uint8_t kTagDelta = 1;
 constexpr uint8_t kTagRaw = 2;
 
-/**
- * Frame-local per-channel delta state: last content seen per channel,
- * kept separately for the start and end content streams.
- */
-struct DeltaState
-{
-    explicit DeltaState(size_t nchan)
-        : start_prev(nchan), end_prev(nchan)
-    {}
-
-    std::vector<std::vector<uint8_t>> start_prev;
-    std::vector<std::vector<uint8_t>> end_prev;
-};
-
 void
-encodeContent(std::vector<uint8_t> &out, std::vector<uint8_t> &prev,
-              const uint8_t *data, size_t n)
+encodeContent(std::vector<uint8_t> &out, FrameDeltaState &state,
+              bool ends, size_t ch, const uint8_t *data, size_t n)
 {
-    if (prev.size() == n && std::memcmp(prev.data(), data, n) == 0) {
+    uint8_t *const prev = state.prev(ends, ch);
+    const bool has = state.has(ends, ch);
+    if (has && std::memcmp(prev, data, n) == 0) {
         out.push_back(kTagSame);
         return;
     }
@@ -43,11 +31,11 @@ encodeContent(std::vector<uint8_t> &out, std::vector<uint8_t> &prev,
     // each other: XORing two unrelated payloads scrambles structure the
     // frame's LZ pass could otherwise match against earlier raw bytes.
     size_t same = 0;
-    if (prev.size() == n) {
+    if (has) {
         for (size_t i = 0; i < n; ++i)
             same += (data[i] == prev[i]);
     }
-    if (prev.size() == n && same * 2 >= n) {
+    if (has && same * 2 >= n) {
         out.push_back(kTagDelta);
         const size_t base = out.size();
         out.resize(base + n);
@@ -57,48 +45,80 @@ encodeContent(std::vector<uint8_t> &out, std::vector<uint8_t> &prev,
         out.push_back(kTagRaw);
         out.insert(out.end(), data, data + n);
     }
-    prev.assign(data, data + n);
+    std::memcpy(prev, data, n);
+    state.setHas(ends, ch);
 }
 
 bool
-decodeContent(const uint8_t *&p, const uint8_t *end,
-              std::vector<uint8_t> &prev, size_t n, ContentBuf &out)
+decodeContent(const uint8_t *&p, const uint8_t *end, FrameDeltaState &state,
+              bool ends, size_t ch, size_t n, ContentBuf &out)
 {
     if (p == end)
         return false;
     const uint8_t tag = *p++;
+    uint8_t *const prev = state.prev(ends, ch);
     switch (tag) {
       case kTagSame:
-        if (prev.size() != n)
+        if (!state.has(ends, ch))
             return false;
-        out = ContentBuf(prev.data(), prev.data() + n);
-        return true;
-      case kTagDelta: {
-        if (prev.size() != n || size_t(end - p) < n)
+        break;
+      case kTagDelta:
+        if (!state.has(ends, ch) || size_t(end - p) < n)
             return false;
         for (size_t i = 0; i < n; ++i)
             prev[i] = uint8_t(prev[i] ^ p[i]);
         p += n;
-        out = ContentBuf(prev.data(), prev.data() + n);
-        return true;
-      }
+        break;
       case kTagRaw:
         if (size_t(end - p) < n)
             return false;
-        prev.assign(p, p + n);
+        std::memcpy(prev, p, n);
         p += n;
-        out = ContentBuf(prev.data(), prev.data() + n);
-        return true;
+        state.setHas(ends, ch);
+        break;
       default:
         return false;
     }
+    out.assign(prev, n);
+    return true;
+}
+
+/** Bit i set when channel i's end content is recorded. */
+uint64_t
+endContentMask(const TraceMeta &meta)
+{
+    uint64_t mask = 0;
+    if (meta.record_output_content) {
+        for (size_t ch = 0; ch < meta.channelCount(); ++ch) {
+            if (!meta.channels[ch].input)
+                mask |= uint64_t(1) << ch;
+        }
+    }
+    return mask;
 }
 
 } // namespace
 
+FrameDeltaState::FrameDeltaState(const TraceMeta &meta)
+{
+    const size_t nchan = meta.channelCount();
+    offset_.resize(2 * nchan);
+    fresh_.resize(2 * nchan);
+    size_t total = 0;
+    for (size_t slot = 0; slot < 2 * nchan; ++slot) {
+        const size_t bytes = meta.channels[slot % nchan].data_bytes;
+        offset_[slot] = total;
+        fresh_[slot] = bytes == 0;
+        total += bytes;
+    }
+    bytes_.resize(total);
+    has_ = fresh_;
+}
+
 std::vector<uint8_t>
-encodeFrameBody(const TraceMeta &meta, const CyclePacket *pkts,
-                size_t count, const uint64_t *cycles, uint64_t first_cycle)
+encodeFrameBody(const TraceMeta &meta, FrameDeltaState &state,
+                const CyclePacket *pkts, size_t count,
+                const uint64_t *cycles, uint64_t first_cycle)
 {
     if (count == 0)
         panic("encodeFrameBody: empty frame");
@@ -138,7 +158,7 @@ encodeFrameBody(const TraceMeta &meta, const CyclePacket *pkts,
         }
     }
 
-    DeltaState state(meta.channelCount());
+    state.reset();
     for (size_t i = 0; i < count; ++i) {
         const CyclePacket &pkt = pkts[i];
         size_t ci = 0;
@@ -150,7 +170,7 @@ encodeFrameBody(const TraceMeta &meta, const CyclePacket *pkts,
             if (c.size() != meta.channels[ch].data_bytes)
                 panic("encodeFrameBody: channel %zu content size %zu != "
                       "%u", ch, c.size(), meta.channels[ch].data_bytes);
-            encodeContent(out, state.start_prev[ch], c.data(), c.size());
+            encodeContent(out, state, false, ch, c.data(), c.size());
         });
         if (meta.record_output_content) {
             size_t ei = 0;
@@ -165,7 +185,7 @@ encodeFrameBody(const TraceMeta &meta, const CyclePacket *pkts,
                     panic("encodeFrameBody: channel %zu end content size "
                           "%zu != %u",
                           ch, c.size(), meta.channels[ch].data_bytes);
-                encodeContent(out, state.end_prev[ch], c.data(), c.size());
+                encodeContent(out, state, true, ch, c.data(), c.size());
             });
         }
     }
@@ -173,9 +193,10 @@ encodeFrameBody(const TraceMeta &meta, const CyclePacket *pkts,
 }
 
 bool
-decodeFrameBody(const TraceMeta &meta, const uint8_t *body, size_t len,
-                size_t expected_count, bool has_cycles,
-                uint64_t first_cycle, std::vector<CyclePacket> &pkts,
+decodeFrameBody(const TraceMeta &meta, FrameDeltaState &state,
+                const uint8_t *body, size_t len, size_t expected_count,
+                bool has_cycles, uint64_t first_cycle,
+                std::vector<CyclePacket> &pkts,
                 std::vector<uint64_t> &cycles)
 {
     const uint8_t *p = body;
@@ -222,36 +243,25 @@ decodeFrameBody(const TraceMeta &meta, const uint8_t *body, size_t len,
 
     const size_t base = pkts.size();
     pkts.resize(base + size_t(count));
-    DeltaState state(nchan);
+    const uint64_t end_mask = endContentMask(meta);
+    state.reset();
     for (size_t i = 0; i < size_t(count); ++i) {
         CyclePacket &pkt = pkts[base + i];
         pkt.starts = dict[size_t(indices[i])].first;
         pkt.ends = dict[size_t(indices[i])].second;
+        pkt.start_contents.reserve(bitvec::count(pkt.starts));
+        pkt.end_contents.reserve(bitvec::count(pkt.ends & end_mask));
         bool ok = true;
         bitvec::forEach(pkt.starts, [&](size_t ch) {
-            if (!ok)
-                return;
-            ContentBuf c;
-            if (!decodeContent(p, end, state.start_prev[ch],
-                               meta.channels[ch].data_bytes, c)) {
-                ok = false;
-                return;
-            }
-            pkt.start_contents.push_back(std::move(c));
+            ok = ok && decodeContent(p, end, state, false, ch,
+                                     meta.channels[ch].data_bytes,
+                                     pkt.start_contents.emplace_back());
         });
-        if (ok && meta.record_output_content) {
-            bitvec::forEach(pkt.ends, [&](size_t ch) {
-                if (!ok || meta.channels[ch].input)
-                    return;
-                ContentBuf c;
-                if (!decodeContent(p, end, state.end_prev[ch],
-                                   meta.channels[ch].data_bytes, c)) {
-                    ok = false;
-                    return;
-                }
-                pkt.end_contents.push_back(std::move(c));
-            });
-        }
+        bitvec::forEach(pkt.ends & end_mask, [&](size_t ch) {
+            ok = ok && decodeContent(p, end, state, true, ch,
+                                     meta.channels[ch].data_bytes,
+                                     pkt.end_contents.emplace_back());
+        });
         if (!ok) {
             pkts.resize(base);
             return false;

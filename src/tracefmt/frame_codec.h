@@ -39,9 +39,55 @@
 namespace vidi {
 
 /**
+ * The codec's per-channel delta state: the last content seen on each
+ * channel, kept separately for the start and end content streams.
+ *
+ * One buffer per channel and stream is sized once from the metadata
+ * (data_bytes each), so every frame of a trace reuses it without
+ * allocating. Both codec calls reset() it first: the state stays
+ * frame-local even though the buffers outlive the frame.
+ */
+class FrameDeltaState
+{
+  public:
+    FrameDeltaState() = default;
+    explicit FrameDeltaState(const TraceMeta &meta);
+
+    /** Forget every channel's previous content (start of a frame). */
+    void reset() { has_ = fresh_; }
+
+    /** Previous-content buffer of @p ch in the start or end stream. */
+    uint8_t *prev(bool ends, size_t ch)
+    {
+        return bytes_.data() + offset_[index(ends, ch)];
+    }
+
+    /** Whether prev() holds a content this frame has already seen. */
+    bool has(bool ends, size_t ch) const
+    {
+        return has_[index(ends, ch)] != 0;
+    }
+
+    void setHas(bool ends, size_t ch) { has_[index(ends, ch)] = 1; }
+
+  private:
+    size_t index(bool ends, size_t ch) const
+    {
+        return (ends ? has_.size() / 2 : 0) + ch;
+    }
+
+    std::vector<size_t> offset_;  ///< per slot: offset into bytes_
+    std::vector<uint8_t> bytes_;
+    std::vector<uint8_t> has_;    ///< per slot: start stream, then end
+    /** has_ at a frame start: a zero-byte channel is always "seen". */
+    std::vector<uint8_t> fresh_;
+};
+
+/**
  * Encode @p count packets starting at @p pkts into a frame body.
  *
  * @param meta boundary description (channel payload sizes)
+ * @param state delta state built from @p meta (reset here)
  * @param pkts first packet of the frame
  * @param count packets in the frame (≥ 1)
  * @param cycles per-packet emission cycles (parallel to @p pkts), or
@@ -50,6 +96,7 @@ namespace vidi {
  *        (ignored when @p cycles is null)
  */
 std::vector<uint8_t> encodeFrameBody(const TraceMeta &meta,
+                                     FrameDeltaState &state,
                                      const CyclePacket *pkts, size_t count,
                                      const uint64_t *cycles,
                                      uint64_t first_cycle);
@@ -62,9 +109,10 @@ std::vector<uint8_t> encodeFrameBody(const TraceMeta &meta,
  * packet count mismatch with @p expected_count) returns false without
  * touching memory outside the inputs. On success appends the decoded
  * packets to @p pkts and, when @p has_cycles, the reconstructed absolute
- * cycles to @p cycles.
+ * cycles to @p cycles. @p state is built from @p meta and reset here.
  */
-bool decodeFrameBody(const TraceMeta &meta, const uint8_t *body, size_t len,
+bool decodeFrameBody(const TraceMeta &meta, FrameDeltaState &state,
+                     const uint8_t *body, size_t len,
                      size_t expected_count, bool has_cycles,
                      uint64_t first_cycle, std::vector<CyclePacket> &pkts,
                      std::vector<uint64_t> &cycles);

@@ -148,12 +148,20 @@ lzDecompress(const uint8_t *src, size_t src_len, uint8_t *dst,
     bool terminated = false;
     while (p != end) {
         const uint8_t token = *p++;
-        size_t lit_len;
-        if (!readLength(token >> 4, lit_len))
-            return false;
-        if (lit_len > size_t(end - p) || lit_len > dst_len - di)
-            return false;
-        std::memcpy(dst + di, p, lit_len);
+        size_t lit_len = token >> 4;
+        if (lit_len < 15 && end - p >= 18 && dst_len - di >= 16) {
+            // Short literal run with room on both sides: one fixed
+            // 16-byte copy. Bytes past lit_len are scratch that the
+            // next sequence overwrites; the 18-byte margin also keeps
+            // the offset that must follow inside the input.
+            std::memcpy(dst + di, p, 16);
+        } else {
+            if (!readLength(token >> 4, lit_len))
+                return false;
+            if (lit_len > size_t(end - p) || lit_len > dst_len - di)
+                return false;
+            std::memcpy(dst + di, p, lit_len);
+        }
         p += lit_len;
         di += lit_len;
         if (p == end) {
@@ -173,13 +181,27 @@ lzDecompress(const uint8_t *src, size_t src_len, uint8_t *dst,
         if (!readLength(token & 0x0f, match_len))
             return false;
         match_len += kLzMinMatch;
-        if (match_len > dst_len - di)
+        const size_t room = dst_len - di;
+        if (match_len > room)
             return false;
-        // Byte-by-byte: overlapping matches (offset < match_len) must
-        // replicate the bytes being written.
-        const uint8_t *from = dst + di - offset;
-        for (size_t j = 0; j < match_len; ++j)
-            dst[di + j] = from[j];
+        // A chunk never overlaps its own source once offset >= chunk
+        // size, and every source byte lies below di, so it is final.
+        // Chunks may write up to chunk-1 scratch bytes past the match,
+        // hence the round-up must still fit in the output.
+        uint8_t *const out = dst + di;
+        const uint8_t *const from = out - offset;
+        if (offset >= 16 && ((match_len + 15) & ~size_t(15)) <= room) {
+            for (size_t j = 0; j < match_len; j += 16)
+                std::memcpy(out + j, from + j, 16);
+        } else if (offset >= 8 && ((match_len + 7) & ~size_t(7)) <= room) {
+            for (size_t j = 0; j < match_len; j += 8)
+                std::memcpy(out + j, from + j, 8);
+        } else {
+            // Byte-by-byte: overlapping matches (offset < match_len)
+            // must replicate the bytes being written.
+            for (size_t j = 0; j < match_len; ++j)
+                out[j] = from[j];
+        }
         di += match_len;
     }
     return terminated && di == dst_len;

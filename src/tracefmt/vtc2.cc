@@ -228,6 +228,7 @@ serializeVtc2(const Trace &trace, const Vtc2Options &opt,
 
     std::vector<Vtc2FrameInfo> frames;
     uint64_t payload_bytes = 0;
+    FrameDeltaState delta(trace.meta);
     for (size_t first = 0; first < trace.packets.size();
          first += per_frame) {
         const size_t count =
@@ -241,7 +242,7 @@ serializeVtc2(const Trace &trace, const Vtc2Options &opt,
         info.last_cycle = has_cycles ? trace.cycles[last] : last;
 
         const std::vector<uint8_t> body = encodeFrameBody(
-            trace.meta, trace.packets.data() + first, count,
+            trace.meta, delta, trace.packets.data() + first, count,
             has_cycles ? trace.cycles.data() + first : nullptr,
             info.first_cycle);
         std::vector<uint8_t> packed;
@@ -319,7 +320,19 @@ parseVtc2(const uint8_t *data, size_t len, const std::string &context,
     const Footer footer = parseFooter(data, len, frames_start);
     const size_t frames_end = footer.valid ? size_t(footer.index_offset)
                                            : len;
+    if (footer.valid) {
+        // Pre-size from the footer, capped by the image length so a
+        // forged (CRC-recomputed) count cannot force a huge
+        // allocation; a trace with more packets than bytes simply
+        // grows past the reservation.
+        const size_t expect =
+            size_t(std::min<uint64_t>(footer.packet_count, len));
+        trace.packets.reserve(expect);
+        if (has_cycles)
+            trace.cycles.reserve(expect);
+    }
 
+    FrameDeltaState delta(trace.meta);
     std::vector<uint8_t> scratch;
     uint64_t next_seq = 0;
     bool in_damage = false;
@@ -354,7 +367,7 @@ parseVtc2(const uint8_t *data, size_t len, const std::string &context,
             good = body != nullptr &&
                    ((h.flags & 1) != 0) == has_cycles &&
                    h.first_seq >= next_seq &&
-                   decodeFrameBody(trace.meta, body, raw_len,
+                   decodeFrameBody(trace.meta, delta, body, raw_len,
                                    h.packet_count, has_cycles,
                                    h.first_cycle, trace.packets,
                                    trace.cycles);
@@ -483,6 +496,7 @@ TraceReader::TraceReader(std::vector<uint8_t> image, std::string context)
     const size_t frames_start = parsePrologue(
         image_.data(), image_.size(), context_, meta_, flags);
     has_cycles_ = (flags & kVtc2FlagHasCycles) != 0;
+    delta_ = FrameDeltaState(meta_);
 
     const Footer footer =
         parseFooter(image_.data(), image_.size(), frames_start);
@@ -564,7 +578,7 @@ TraceReader::loadFrame(size_t idx)
         const uint8_t *body = fetchFrameBody(
             image_.data(), size_t(e.offset), h, scratch, raw_len);
         if (body != nullptr && ((h.flags & 1) != 0) == has_cycles_ &&
-            decodeFrameBody(meta_, body, raw_len, h.packet_count,
+            decodeFrameBody(meta_, delta_, body, raw_len, h.packet_count,
                             has_cycles_, h.first_cycle, cur_pkts_,
                             cur_cycles_)) {
             cur_first_seq_ = h.first_seq;

@@ -62,6 +62,7 @@
 
 #include "trace/storage_line.h"
 #include "trace/trace.h"
+#include "tracefmt/frame_codec.h"
 
 namespace vidi {
 
@@ -238,6 +239,7 @@ class TraceReader
     std::vector<uint8_t> image_;
     std::string context_;
     TraceMeta meta_;
+    FrameDeltaState delta_;  ///< built from meta_, reused by every frame
     bool has_cycles_ = false;
     bool index_rebuilt_ = false;
     uint64_t packet_count_ = 0;

@@ -1,7 +1,9 @@
 /**
  * @file
  * VTC2 container tests: varint/LZ primitive round-trips (including
- * hostile inputs), whole-container round-trips over the full Table 1
+ * hostile inputs and a seeded LZ differential sweep over the decoder's
+ * fast-path edges), CRC-32 known answers plus cross-commit pins of the
+ * at-rest bytes, whole-container round-trips over the full Table 1
  * corpus with the >=3x compression gate, the per-frame corruption
  * sweep (damage report + resync + replay-after-damage equivalence
  * with the v1 contract), frame-granular fault injection, and
@@ -11,10 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "apps/app_registry.h"
+#include "checkpoint/checkpoint.h"
 #include "core/recorder.h"
 #include "core/replayer.h"
 #include "fault/fault_injector.h"
@@ -56,6 +60,86 @@ const RecordResult &
 dmaRun()
 {
     return corpus().front();
+}
+
+/** FNV-1a 64: an at-rest digest independent of the CRC under test. */
+uint64_t
+fnv1a(const std::vector<uint8_t> &bytes)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (const uint8_t b : bytes)
+        h = (h ^ b) * 0x100000001b3ull;
+    return h;
+}
+
+/**
+ * A fixed synthetic trace that reaches every content tag: a zero-byte
+ * channel, an oversized (heap-backed) payload, recorded output
+ * contents, repeated, nearly-repeated and fresh payloads, and cycle
+ * annotations over several frames.
+ */
+Trace
+syntheticTrace()
+{
+    Trace t;
+    t.meta.record_output_content = true;
+    const struct { const char *name; bool input; uint32_t bytes; } chans[] = {
+        {"cmd", true, 8},    {"rsp", false, 16}, {"tick", true, 0},
+        {"wide", false, 40}, {"bulk", true, 128}};
+    for (const auto &c : chans)
+        t.meta.channels.push_back({c.name, c.input, c.bytes, c.bytes * 8});
+
+    std::mt19937_64 rng(21);
+    std::vector<ContentBuf> last(t.meta.channelCount());
+    uint64_t cycle = 0;
+    for (size_t i = 0; i < 1300; ++i) {
+        CyclePacket pkt;
+        pkt.starts = rng() & 0x1f;
+        pkt.ends = rng() & 0x1f;
+        if (pkt.empty())
+            pkt.starts = 1;
+        auto content = [&](size_t ch) {
+            ContentBuf &prev = last[ch];
+            const size_t n = t.meta.channels[ch].data_bytes;
+            if (prev.size() != n)
+                prev = ContentBuf(n, uint8_t(ch));
+            switch (rng() % 3) {
+              case 0: break;  // identical to the previous beat
+              case 1:
+                if (n > 0)
+                    prev[rng() % n] ^= uint8_t(1 + rng() % 255);
+                break;
+              default:
+                for (size_t b = 0; b < n; ++b)
+                    prev[b] = uint8_t(rng());
+            }
+            return prev;
+        };
+        bitvec::forEach(pkt.starts, [&](size_t ch) {
+            pkt.start_contents.push_back(content(ch));
+        });
+        bitvec::forEach(pkt.ends, [&](size_t ch) {
+            if (!t.meta.channels[ch].input)
+                pkt.end_contents.push_back(content(ch));
+        });
+        cycle += rng() % 4;
+        t.packets.push_back(std::move(pkt));
+        t.cycles.push_back(cycle);
+    }
+    return t;
+}
+
+/** Bytewise CRC-32 (reflected 0xEDB88320): the reference slicing must match. */
+uint32_t
+referenceCrc32(const uint8_t *data, size_t len, uint32_t seed)
+{
+    uint32_t c = ~seed;
+    for (size_t i = 0; i < len; ++i) {
+        c ^= data[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    return ~c;
 }
 
 TEST(Varint, RoundTripAndBounds)
@@ -163,6 +247,250 @@ TEST(Lz, HostileStreamsRejected)
     }
 }
 
+/** Hand-built LZ stream writer (the sequence layout of lz.h). */
+struct LzStream
+{
+    std::vector<uint8_t> bytes;
+
+    void
+    length(size_t extra)
+    {
+        for (; extra >= 255; extra -= 255)
+            bytes.push_back(255);
+        bytes.push_back(uint8_t(extra));
+    }
+
+    /** One sequence; @p match_len == 0 writes the terminal one. */
+    void
+    sequence(const std::vector<uint8_t> &lit, size_t offset,
+             size_t match_len)
+    {
+        const size_t ln = std::min<size_t>(lit.size(), 15);
+        const size_t mn =
+            match_len ? std::min<size_t>(match_len - kLzMinMatch, 15) : 0;
+        bytes.push_back(uint8_t(ln << 4 | mn));
+        if (ln == 15)
+            length(lit.size() - 15);
+        bytes.insert(bytes.end(), lit.begin(), lit.end());
+        if (match_len == 0)
+            return;
+        bytes.push_back(uint8_t(offset));
+        bytes.push_back(uint8_t(offset >> 8));
+        if (mn == 15)
+            length(match_len - kLzMinMatch - 15);
+    }
+};
+
+/**
+ * Decode @p stream into an exactly sized buffer, then check that every
+ * truncation and both neighbouring output sizes are rejected. Every
+ * buffer is exact-size so ASan sees any read or write past either end.
+ */
+void
+expectExactDecode(const std::vector<uint8_t> &stream,
+                  const std::vector<uint8_t> &want, const std::string &what)
+{
+    std::vector<uint8_t> out(want.size());
+    ASSERT_TRUE(lzDecompress(stream.data(), stream.size(), out.data(),
+                             out.size()))
+        << what;
+    ASSERT_EQ(out, want) << what;
+    for (size_t cut = 0; cut < stream.size(); ++cut) {
+        const std::vector<uint8_t> part(stream.begin(),
+                                        stream.begin() + cut);
+        EXPECT_FALSE(lzDecompress(part.data(), part.size(), out.data(),
+                                  out.size()))
+            << what << " cut " << cut;
+    }
+    std::vector<uint8_t> big(want.size() + 1);
+    EXPECT_FALSE(lzDecompress(stream.data(), stream.size(), big.data(),
+                              big.size()))
+        << what;
+    if (!want.empty()) {
+        std::vector<uint8_t> small(want.size() - 1);
+        EXPECT_FALSE(lzDecompress(stream.data(), stream.size(),
+                                  small.data(), small.size()))
+            << what;
+    }
+}
+
+TEST(Lz, DifferentialGeneratedBuffers)
+{
+    std::mt19937_64 rng(0x1d7c);
+    auto noise = [&](size_t n) {
+        std::vector<uint8_t> v(n);
+        for (uint8_t &b : v)
+            b = uint8_t(rng());
+        return v;
+    };
+    std::vector<std::vector<uint8_t>> inputs;
+    for (size_t n = 0; n <= 16; ++n)
+        inputs.push_back(std::vector<uint8_t>(n, 0xa5));  // runs
+    for (size_t n : {64, 333, 4096})
+        inputs.push_back(std::vector<uint8_t>(n, uint8_t(n)));
+    for (size_t period = 1; period <= 20; ++period) {
+        const std::vector<uint8_t> unit = noise(period);
+        std::vector<uint8_t> v;
+        const size_t n = 40 + rng() % 600;
+        for (size_t i = 0; i < n; ++i)
+            v.push_back(unit[i % period]);
+        inputs.push_back(v);
+    }
+    // Literal runs of 0-300 bytes between repeated blocks.
+    for (size_t lit = 0; lit <= 300; lit += 1 + lit / 8) {
+        const std::vector<uint8_t> block = noise(24);
+        std::vector<uint8_t> v = block;
+        for (int rep = 0; rep < 3; ++rep) {
+            const std::vector<uint8_t> gap = noise(lit);
+            v.insert(v.end(), gap.begin(), gap.end());
+            v.insert(v.end(), block.begin(), block.end());
+        }
+        inputs.push_back(v);
+    }
+    // Random sizes up to 4096 mixing all of the above.
+    for (int k = 0; k < 12; ++k) {
+        const size_t n = rng() % 4097;
+        std::vector<uint8_t> v;
+        while (v.size() < n) {
+            const size_t chunk = 1 + rng() % 64;
+            if (rng() % 2 == 0 || v.size() < 16) {
+                const std::vector<uint8_t> lit = noise(chunk);
+                v.insert(v.end(), lit.begin(), lit.end());
+            } else {
+                const size_t from = rng() % v.size();
+                for (size_t i = 0; i < chunk; ++i)
+                    v.push_back(uint8_t(v[from + i]));
+            }
+        }
+        v.resize(n);
+        inputs.push_back(v);
+    }
+
+    size_t decoded = 0;
+    for (size_t i = 0; i < inputs.size(); ++i) {
+        const std::vector<uint8_t> &in = inputs[i];
+        const std::vector<uint8_t> packed = lzCompress(in.data(), in.size());
+        if (packed.empty())
+            continue;  // stored raw: nothing to decode
+        expectExactDecode(packed, in,
+                          "input " + std::to_string(i) + " size " +
+                              std::to_string(in.size()));
+        ++decoded;
+    }
+    EXPECT_GT(decoded, inputs.size() * 3 / 4);
+}
+
+TEST(Lz, FastPathEdges)
+{
+    std::mt19937_64 rng(7);
+    auto noise = [&](size_t n) {
+        std::vector<uint8_t> v(n);
+        for (uint8_t &b : v)
+            b = uint8_t(rng());
+        return v;
+    };
+    // A match of every length near the copy-chunk sizes, at offsets
+    // either side of the 8- and 16-byte chunk thresholds, followed by a
+    // terminal literal of 0-17 bytes: the match ends exactly at dst_len
+    // (tail 0) or 1-17 bytes short of it, so the chunk round-up lands
+    // on both sides of the output end. The prefix length moves the
+    // literal fast path's 18-byte input margin across the stream end.
+    for (const size_t offset : {1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33}) {
+        for (size_t match = kLzMinMatch; match <= 50; ++match) {
+            for (size_t tail = 0; tail <= 17; ++tail) {
+                const std::vector<uint8_t> prefix =
+                    noise(offset + (match + tail) % 5);
+                const std::vector<uint8_t> last = noise(tail);
+                LzStream s;
+                s.sequence(prefix, offset, match);
+                s.sequence(last, 0, 0);
+                std::vector<uint8_t> want = prefix;
+                for (size_t j = 0; j < match; ++j)
+                    want.push_back(uint8_t(want[want.size() - offset]));
+                want.insert(want.end(), last.begin(), last.end());
+                expectExactDecode(s.bytes, want,
+                                  "offset " + std::to_string(offset) +
+                                      " match " + std::to_string(match) +
+                                      " tail " + std::to_string(tail));
+            }
+        }
+    }
+    // Short literal runs (the 16-byte copy) whose last byte is the last
+    // input byte, or that leave 0-20 bytes of stream behind them.
+    for (size_t lit = 0; lit <= 16; ++lit) {
+        for (size_t after = 0; after <= 20; ++after) {
+            const std::vector<uint8_t> head = noise(lit + 4);
+            const std::vector<uint8_t> last = noise(after);
+            LzStream s;
+            s.sequence(head, 1, kLzMinMatch);
+            s.sequence(last, 0, 0);
+            std::vector<uint8_t> want = head;
+            for (size_t j = 0; j < kLzMinMatch; ++j)
+                want.push_back(head.back());
+            want.insert(want.end(), last.begin(), last.end());
+            expectExactDecode(s.bytes, want,
+                              "literal " + std::to_string(lit) +
+                                  " after " + std::to_string(after));
+        }
+    }
+}
+
+TEST(Crc32, KnownAnswerAndBytewiseReference)
+{
+    const char *check = "123456789";
+    EXPECT_EQ(crc32(reinterpret_cast<const uint8_t *>(check), 9),
+              0xcbf43926u);
+    EXPECT_EQ(crc32(nullptr, 0), 0u);
+
+    std::vector<uint8_t> buf(8 + 80);
+    std::mt19937_64 rng(99);
+    for (uint8_t &b : buf)
+        b = uint8_t(rng());
+    for (size_t align = 0; align < 8; ++align) {
+        for (size_t len = 0; len <= 80; ++len) {
+            const uint8_t *p = buf.data() + align;
+            EXPECT_EQ(crc32(p, len), referenceCrc32(p, len, 0))
+                << "align " << align << " len " << len;
+            EXPECT_EQ(crc32(p, len, 0x12345678u),
+                      referenceCrc32(p, len, 0x12345678u))
+                << "seeded, align " << align << " len " << len;
+        }
+    }
+    // Seed chaining: crc32(b, crc32(a)) == crc32(a || b) at every split.
+    for (size_t split = 0; split <= 80; ++split) {
+        const uint32_t whole = crc32(buf.data(), 80);
+        EXPECT_EQ(crc32(buf.data() + split, 80 - split,
+                        crc32(buf.data(), split)),
+                  whole)
+            << "split " << split;
+    }
+}
+
+TEST(Crc32, AtRestBytesPinned)
+{
+    // Round trips cannot catch a CRC or codec change, since writer and
+    // reader share the code. These digests were taken from the bytewise
+    // CRC and the per-frame delta state; a change to either at-rest
+    // format must update them deliberately.
+    const Trace trace = syntheticTrace();
+    const std::vector<uint8_t> image = serializeVtc2(trace);
+    EXPECT_EQ(image.size(), 77327u);
+    EXPECT_EQ(fnv1a(image), 10150068149321220874ull);
+    const Trace back = parseVtc2(image.data(), image.size(), "synthetic");
+    EXPECT_TRUE(back == trace);
+    EXPECT_EQ(back.cycles, trace.cycles);
+
+    CheckpointImage ckp;
+    ckp.mode = 2;
+    ckp.seed = 0x5eed;
+    ckp.cycle = 123456789;
+    for (size_t i = 0; i < 1000; ++i)
+        ckp.body.push_back(uint8_t(i * 37 + (i >> 3)));
+    const std::vector<uint8_t> bytes = encodeCheckpoint(ckp);
+    EXPECT_EQ(bytes.size(), 1045u);
+    EXPECT_EQ(fnv1a(bytes), 17057986689337995436ull);
+}
+
 TEST(Vtc2, RoundTripCorpusAndCompressionGate)
 {
     uint64_t v1_total = 0;
@@ -186,6 +514,31 @@ TEST(Vtc2, RoundTripCorpusAndCompressionGate)
     // The ISSUE-9 compression gate: >=3x on-disk reduction vs the 64 B
     // line format across the corpus.
     EXPECT_GE(ratio, 3.0) << "corpus compression ratio " << ratio;
+}
+
+TEST(Vtc2, ForgedFooterPacketCountStaysBounded)
+{
+    // A footer whose CRC was recomputed over a packet count of 2^40 must
+    // not size the decode: the load returns every real packet, reports
+    // the claimed remainder as lost, and reserves nothing beyond the
+    // image length.
+    const Trace trace = syntheticTrace();
+    std::vector<uint8_t> image = serializeVtc2(trace);
+    uint8_t *footer = image.data() + image.size() - kVtc2FooterBytes;
+    const uint64_t forged = uint64_t(1) << 40;
+    std::memcpy(footer + 16, &forged, sizeof(forged));
+    const uint32_t crc = crc32(footer, 32);
+    std::memcpy(footer + 32, &crc, sizeof(crc));
+
+    TraceDamageReport report;
+    const Trace back =
+        parseVtc2(image.data(), image.size(), "forged", report);
+    EXPECT_TRUE(back == trace);
+    EXPECT_FALSE(report.clean());
+    ASSERT_EQ(report.regions.size(), 1u);
+    EXPECT_EQ(report.regions[0].lines, forged - trace.packets.size());
+    EXPECT_LE(back.packets.capacity(), image.size());
+    EXPECT_LE(back.cycles.capacity(), image.size());
 }
 
 TEST(Vtc2, FileRoundTripBothFormats)
