@@ -14,14 +14,7 @@
  *  - fig7-style scaling: R2 records monitoring 1/3/5 of the F1
  *    interfaces (VidiConfig::maskFor), reporting eval-pass counters so
  *    tools/bench_report can compute the FullEval-to-ActivityDriven
- *    reduction at every scaling point;
- *  - parallel active cycles: the same 16-pair active design under the
- *    island-sharded Parallel kernel, swept across thread counts
- *    (1/2/4/hardware) — the wall-clock ratio against 1 thread is the
- *    parallel speedup tools/bench_report gates on (multi-core hosts
- *    only), and results are bit-identical across the sweep;
- *  - VidiSan active cycles: the same sweep at 1 and 4 threads with the
- *    domain race sanitizer armed, pricing its shadow checks.
+ *    reduction at every scaling point.
  *
  * The single-kernel benchmarks take a trailing 0/1 argument selecting
  * the kernel: 0 = FullEval (reference), 1 = ActivityDriven.
@@ -29,9 +22,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <string>
-#include <thread>
 
 #include "apps/app_registry.h"
 #include "channel/channel.h"
@@ -109,22 +100,14 @@ class IdleTimer : public Module
     uint64_t wakes_ = 0;
 };
 
-/**
- * Presents a fresh value every cycle: the channel never settles early.
- * @p work adds that many integer-mixing rounds per produced value,
- * modelling a compute-bound module (the parallel sweep uses it so
- * per-island work amortizes the per-cycle fork-join barrier).
- */
+/** Presents a fresh value every cycle: the channel never settles early. */
 class Producer : public Module
 {
   public:
-    explicit Producer(Channel<uint64_t> &out, int work = 0)
-        : Module("producer"), out_(&out), work_(work)
+    explicit Producer(Channel<uint64_t> &out)
+        : Module("producer"), out_(&out)
     {
         sensitive(out);
-        // The channel is the complete footprint: eligible for island
-        // partitioning under the Parallel kernel.
-        declareFootprint().readsWrites(out);
     }
 
     void eval() override { out_->push(next_); }
@@ -132,22 +115,13 @@ class Producer : public Module
     void
     tick() override
     {
-        if (!out_->fired())
-            return;
-        uint64_t x = ++next_;
-        for (int r = 0; r < work_; ++r) {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-        }
-        mix_ = x;
+        if (out_->fired())
+            ++next_;
     }
 
   private:
     Channel<uint64_t> *out_;
-    int work_;
     uint64_t next_ = 0;
-    uint64_t mix_ = 0;
 };
 
 /** Always-ready sink; eval() re-runs only when its channel changes. */
@@ -159,9 +133,8 @@ class Consumer : public Module
     {
         sensitive(in);
         // eval() reads nothing but the declared channel: safe to run
-        // only when it changes, and eligible for island partitioning.
+        // only when it changes.
         setEvalMode(EvalMode::OnDemand);
-        declareFootprint().readsWrites(in);
     }
 
     void eval() override { in_->setReady(true); }
@@ -248,93 +221,6 @@ BM_ActiveCycles(benchmark::State &state)
     state.counters["module_evals"] = double(ks.module_evals);
 }
 BENCHMARK(BM_ActiveCycles)->Arg(0)->Arg(1);
-
-/**
- * Parallel active cycles: the 16-pair active design under the
- * island-sharded kernel, with compute-bound producers (kMixWork mixing
- * rounds per cycle) so per-island work amortizes the fork-join
- * barrier. Each pair declares its complete footprint, so the
- * partitioner cuts the design into 16 independent islands; the sweep
- * argument is the thread budget. The simulated outcome is bit-identical
- * at any width — only wall clock changes. The 1-thread row is the
- * scaling baseline bench_report divides by.
- */
-constexpr int kMixWork = 512; ///< mixing rounds per producer per cycle
-
-/** kPairs compute-bound producer/consumer pairs, one island each. */
-void
-addMixPairs(Simulator &sim)
-{
-    for (int i = 0; i < kPairs; ++i) {
-        auto &ch = sim.makeChannel<uint64_t>(
-            "ch" + std::to_string(i), 64);
-        sim.add<Producer>(ch, kMixWork);
-        sim.add<Consumer>(ch);
-    }
-}
-
-void
-BM_ParallelActiveCycles(benchmark::State &state)
-{
-    const unsigned threads = static_cast<unsigned>(state.range(0));
-    Simulator sim(1);
-    sim.setKernelMode(KernelMode::Parallel);
-    sim.setSimThreads(threads);
-    addMixPairs(sim);
-    for (auto _ : state)
-        stepChunk(sim);
-    state.SetItemsProcessed(int64_t(sim.cycle()));
-    const KernelStats ks = sim.kernelStats();
-    state.counters["threads"] = double(ks.threads);
-    state.counters["islands"] = double(ks.islands.size());
-    // Cumulative counters scale with however many iterations the
-    // harness chose; cycles lets the report normalize per cycle so
-    // the determinism cross-check compares like with like.
-    state.counters["cycles"] = double(sim.cycle());
-    state.counters["eval_passes"] = double(ks.eval_passes);
-    state.counters["module_evals"] = double(ks.module_evals);
-    state.counters["imbalance"] = ks.islandImbalance();
-}
-BENCHMARK(BM_ParallelActiveCycles)
-    ->Apply([](benchmark::internal::Benchmark *b) {
-        b->Arg(1)->Arg(2)->Arg(4);
-        const int hw = int(std::thread::hardware_concurrency());
-        if (hw > 4)
-            b->Arg(hw);
-    });
-
-/**
- * VidiSan variant of the parallel sweep: the same 16 declared pairs with
- * the domain race sanitizer armed (VIDI_SANITIZE=vidi while the
- * simulator is constructed), pricing the shadow checker's per-access
- * cost against the BM_ParallelActiveCycles row of the same width.
- */
-void
-BM_VidiSanActiveCycles(benchmark::State &state)
-{
-    const unsigned threads = static_cast<unsigned>(state.range(0));
-    const char *prev = std::getenv("VIDI_SANITIZE");
-    const std::string saved = prev != nullptr ? prev : "";
-    ::setenv("VIDI_SANITIZE", "vidi", 1);
-    Simulator sim(1);
-    if (prev != nullptr)
-        ::setenv("VIDI_SANITIZE", saved.c_str(), 1);
-    else
-        ::unsetenv("VIDI_SANITIZE");
-    sim.setKernelMode(KernelMode::Parallel);
-    sim.setSimThreads(threads);
-    addMixPairs(sim);
-    for (auto _ : state)
-        stepChunk(sim);
-    state.SetItemsProcessed(int64_t(sim.cycle()));
-    const KernelStats ks = sim.kernelStats();
-    state.counters["threads"] = double(ks.threads);
-    state.counters["islands"] = double(ks.islands.size());
-    state.counters["vidisan"] = ks.vidisan ? 1.0 : 0.0;
-    state.counters["cycles"] = double(sim.cycle());
-    state.counters["module_evals"] = double(ks.module_evals);
-}
-BENCHMARK(BM_VidiSanActiveCycles)->Arg(1)->Arg(4);
 
 /**
  * Idle skip: one timer waking every 1000 cycles, everything else

@@ -24,10 +24,6 @@ DmaAppKernel::DmaAppKernel(const std::string &name, DramModel &ddr,
                            DmaEngine &pcim, bool patched)
     : Module(name), ddr_(ddr), pcim_(pcim), patched_(patched)
 {
-    // Coupling half of the interference contract: no channel accesses;
-    // result and doorbell writes are enqueued into the pcim engine. The
-    // shared DDR state token is added by the builder.
-    declareFootprint().couples(pcim_);
 }
 
 uint64_t
@@ -241,9 +237,6 @@ DmaHostDriver::DmaHostDriver(Simulator &sim, const std::string &name,
         fatal("DmaHostDriver %s: empty workload", name.c_str());
     mmio_.setIssueGap(0, 24);
     dma_.setIssueGap(0, 24);
-    // Complete interference contract: no channel accesses; enqueues into
-    // the MMIO/DMA masters and polls doorbell/result in host DRAM.
-    declareFootprint().couples(mmio_).couples(dma_).state("host-dram");
 }
 
 bool
@@ -421,13 +414,6 @@ DmaAppBuilder::build(Simulator &sim, const F1Channels &inner,
     // The instance DDR is reachable only through this app; the slave
     // carries its image in checkpoints (the kernel shares the pointer).
     pcis_slave.setCheckpointOwnsMem(true);
-    // Builder-site interference facts only this assembly code knows:
-    // the register-file callbacks poke the kernel, and the instance DDR
-    // is mapped by both the kernel and the pcis slave.
-    const std::string ddr_token = name() + ".ddr";
-    regs.declareFootprint().couples(kernel);
-    kernel.declareFootprint().state(ddr_token);
-    pcis_slave.declareFootprint().state(ddr_token);
 
     if (outer != nullptr) {
         if (host == nullptr)
@@ -440,9 +426,6 @@ DmaAppBuilder::build(Simulator &sim, const F1Channels &inner,
         AxiMemory &pcim_target = sim.add<AxiMemory>(
             sim, name() + ".host.pcim", outer->pcim, host->mem());
         pcim_target.setPcieBus(pcie);
-        // The pcim target terminates result/doorbell writes in host DRAM,
-        // which the driver polls out of band.
-        pcim_target.declareFootprint().state("host-dram");
 
         const size_t jobs = std::max<size_t>(1, size_t(6 * scale_));
         std::vector<std::vector<uint8_t>> inputs;

@@ -19,15 +19,6 @@ LiteRegFile::LiteRegFile(const std::string &name, const LiteBus &bus,
     sensitive(*bus.b);
     sensitive(*bus.ar);
     sensitive(*bus.r);
-    // Channel half of the interference contract: serves all five bus
-    // channels in both directions. The builder that wires the callbacks
-    // adds the kernel coupling they hide.
-    declareFootprint()
-        .readsWrites(*bus.aw)
-        .readsWrites(*bus.w)
-        .readsWrites(*bus.b)
-        .readsWrites(*bus.ar)
-        .readsWrites(*bus.r);
 }
 
 uint64_t
@@ -96,10 +87,6 @@ HlsHostDriver::HlsHostDriver(Simulator &sim, const std::string &name,
     mmio_.setIssueGap(0, spec_.host_jitter);
     dma_.setIssueGap(0, spec_.host_jitter);
     setEvalMode(EvalMode::Never);  // no combinational logic
-    // Complete interference contract: no channel accesses; the driver
-    // program enqueues operations into the MMIO/DMA masters and reads
-    // the doorbell + result buffers straight out of host DRAM.
-    declareFootprint().couples(mmio_).couples(dma_).state("host-dram");
 }
 
 uint64_t
@@ -277,13 +264,6 @@ HlsAppBuilder::build(Simulator &sim, const F1Channels &inner,
     // The instance DDR is reachable only through this app; the slave
     // carries its image in checkpoints (the kernel shares the pointer).
     pcis_slave.setCheckpointOwnsMem(true);
-    // Builder-site interference facts only this assembly code knows:
-    // the register-file callbacks poke the kernel, and the instance DDR
-    // is mapped by both the kernel and the pcis slave.
-    const std::string ddr_token = spec_.name + ".ddr";
-    regs.declareFootprint().couples(kernel);
-    kernel.declareFootprint().state(ddr_token);
-    pcis_slave.declareFootprint().state(ddr_token);
 
     // CPU side (recording modes only).
     if (outer != nullptr) {
@@ -296,9 +276,6 @@ HlsAppBuilder::build(Simulator &sim, const F1Channels &inner,
         AxiMemory &pcim_target = sim.add<AxiMemory>(
             sim, spec_.name + ".host.pcim", outer->pcim, host->mem());
         pcim_target.setPcieBus(pcie);
-        // The pcim target terminates doorbell writes in host DRAM, which
-        // the driver polls out of band.
-        pcim_target.declareFootprint().state("host-dram");
 
         const uint64_t doorbell = host->alloc(64, 64);
         instance->driver = &sim.add<HlsHostDriver>(

@@ -17,13 +17,6 @@ StreamKernel::StreamKernel(const std::string &name, DramModel &ddr,
     if (!compute_)
         fatal("StreamKernel %s: compute function required", name.c_str());
     setEvalMode(EvalMode::Never);  // no combinational logic
-    // Coupling half of the interference contract: no channel accesses;
-    // the kernel enqueues doorbell writes into the pcim DMA engine. The
-    // shared DDR state token is added by the builder that owns the
-    // DramModel and knows who else maps it.
-    auto fp = declareFootprint();
-    if (doorbell_ != nullptr)
-        fp.couples(*doorbell_);
 }
 
 uint64_t

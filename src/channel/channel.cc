@@ -36,7 +36,6 @@ ChannelBase::setValid(bool v)
     // A module holding a signal at its current value is still driving
     // it, so the tracker hook fires before the change check.
     maybeTrackDrive(*this, SignalSide::Forward);
-    vidisan::maybeChannelAccess(*this, SignalSide::Forward, true);
     if (valid_ != v) {
         valid_ = v;
         markDirty();
@@ -47,7 +46,6 @@ void
 ChannelBase::setReady(bool r)
 {
     maybeTrackDrive(*this, SignalSide::Reverse);
-    vidisan::maybeChannelAccess(*this, SignalSide::Reverse, true);
     if (ready_ != r) {
         ready_ = r;
         markDirty();

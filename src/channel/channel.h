@@ -26,7 +26,6 @@
 #include "channel/protocol_checker.h"
 #include "sim/access_tracker.h"
 #include "sim/logging.h"
-#include "sim/vidisan_hook.h"
 
 namespace vidi {
 
@@ -73,7 +72,6 @@ class ChannelBase
     valid() const
     {
         maybeTrackRead(*this, SignalSide::Forward);
-        vidisan::maybeChannelAccess(*this, SignalSide::Forward, false);
         return valid_;
     }
 
@@ -81,7 +79,6 @@ class ChannelBase
     ready() const
     {
         maybeTrackRead(*this, SignalSide::Reverse);
-        vidisan::maybeChannelAccess(*this, SignalSide::Reverse, false);
         return ready_;
     }
 
@@ -188,7 +185,6 @@ class Channel : public ChannelBase
     data() const
     {
         maybeTrackRead(*this, SignalSide::Forward);
-        vidisan::maybeChannelAccess(*this, SignalSide::Forward, false);
         return data_;
     }
 
@@ -197,7 +193,6 @@ class Channel : public ChannelBase
     setData(const T &d)
     {
         maybeTrackDrive(*this, SignalSide::Forward);
-        vidisan::maybeChannelAccess(*this, SignalSide::Forward, true);
         if (std::memcmp(&data_, &d, sizeof(T)) != 0) {
             data_ = d;
             markDirty();
@@ -216,7 +211,6 @@ class Channel : public ChannelBase
     copyData(uint8_t *dst) const override
     {
         maybeTrackRead(*this, SignalSide::Forward);
-        vidisan::maybeChannelAccess(*this, SignalSide::Forward, false);
         std::memcpy(dst, &data_, sizeof(T));
     }
 

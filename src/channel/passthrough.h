@@ -32,9 +32,6 @@ class Passthrough : public Module
         setEvalMode(EvalMode::OnDemand);
         sensitive(src_);
         sensitive(dst_);
-        // Complete footprint: forwards VALID/payload src -> dst and READY
-        // dst -> src, and touches nothing else.
-        declareFootprint().readsWrites(src_).readsWrites(dst_);
     }
 
     uint64_t

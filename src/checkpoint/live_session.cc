@@ -192,7 +192,6 @@ struct LiveSession::Impl
         }
 
         sim.setKernelMode(resolveKernelMode(cfg.kernel));
-        sim.setSimThreads(resolveSimThreads(cfg.sim_threads));
         pcie = &sim.add<PcieBus>("pcie", cfg.pcie_bytes_per_sec,
                                  cfg.clock_hz);
         outer = makeF1Channels(sim, "outer");

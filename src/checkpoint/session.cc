@@ -12,8 +12,10 @@ namespace vidi {
 
 namespace {
 
+// v2: VidiConfig lost its thread-count field; a v1 manifest is refused
+// as foreign rather than misread.
 constexpr char kManifestMagic[8] = {'V', 'I', 'D', 'I', 'S', 'S', 'N',
-                                    '1'};
+                                    '2'};
 constexpr uint32_t kJournalRecordMagic = 0x314e4a56;  // "VJN1"
 
 } // namespace
@@ -39,7 +41,6 @@ saveVidiConfig(StateWriter &w, const VidiConfig &cfg)
     w.u64(cfg.job_timeout_ms);
     w.u32(cfg.max_retries);
     w.u64(cfg.retry_backoff_ms);
-    w.u32(cfg.sim_threads);
 
     saveFaultSpec(w, cfg.fault);
 }
@@ -57,7 +58,11 @@ loadVidiConfig(StateReader &r)
     cfg.decoder_queue_capacity = size_t(r.u64());
     cfg.trace_region_bytes = r.u64();
     cfg.max_cycles = r.u64();
-    cfg.kernel = KernelMode(r.u8());
+    const uint8_t kernel = r.u8();
+    if (kernel > uint8_t(KernelMode::ActivityDriven))
+        fatal("unknown kernel mode %u in serialized config",
+              unsigned(kernel));
+    cfg.kernel = KernelMode(kernel);
     cfg.overflow_policy = OverflowPolicy(r.u8());
     cfg.drain_backoff_limit = r.u64();
     cfg.stall_escalation_cycles = r.u64();
@@ -66,7 +71,6 @@ loadVidiConfig(StateReader &r)
     cfg.job_timeout_ms = r.u64();
     cfg.max_retries = r.u32();
     cfg.retry_backoff_ms = r.u64();
-    cfg.sim_threads = r.u32();
 
     cfg.fault = loadFaultSpec(r);
     return cfg;

@@ -20,7 +20,6 @@ recordRun(AppBuilder &app, VidiMode mode, uint64_t seed,
 
     Simulator sim(seed);
     sim.setKernelMode(resolveKernelMode(cfg.kernel));
-    sim.setSimThreads(resolveSimThreads(cfg.sim_threads));
     HostMemory host;
     // The PCIe bus must tick before every consumer: register it first.
     PcieBus &pcie = sim.add<PcieBus>("pcie", cfg.pcie_bytes_per_sec,

@@ -17,7 +17,6 @@ replayRun(AppBuilder &app, const Trace &trace, const VidiConfig &cfg)
     // there is no host during replay.
     Simulator sim(0);
     sim.setKernelMode(resolveKernelMode(cfg.kernel));
-    sim.setSimThreads(resolveSimThreads(cfg.sim_threads));
     HostMemory host;
     // The PCIe bus must tick before every consumer: register it first.
     PcieBus &pcie = sim.add<PcieBus>("pcie", cfg.pcie_bytes_per_sec,

@@ -49,12 +49,6 @@ applyEnvOverrides(VidiConfig &cfg)
         cfg.max_retries = uint32_t(v);
     if (envU64("VIDI_RETRY_BACKOFF_MS", &v))
         cfg.retry_backoff_ms = v;
-    // VIDI_THREADS is additionally consulted by resolveSimThreads() at
-    // simulator setup, so it works even for configs that never pass
-    // through here; applying it to the config too keeps serialized
-    // manifests honest about what ran.
-    if (envU64("VIDI_THREADS", &v))
-        cfg.sim_threads = unsigned(v);
 }
 
 } // namespace vidi

@@ -96,24 +96,11 @@ struct VidiConfig
      * Simulation kernel strategy. ActivityDriven (the default) settles
      * with sensitivity lists and bulk-advances through quiescent
      * stretches; FullEval is the reference kernel that evaluates every
-     * module every pass and executes every cycle; Parallel shards the
-     * design into islands and evaluates them on a worker pool; the
-     * island cut comes from the modules' declareFootprint() contracts
-     * alone (src/par/partition.h). All modes produce bit-identical
-     * traces; the VIDI_KERNEL environment variable ("full" /
-     * "activity" / "parallel") overrides this field for A/B comparison.
+     * module every pass and executes every cycle. Both produce
+     * bit-identical traces; the VIDI_KERNEL environment variable
+     * ("full" / "activity") overrides this field for A/B comparison.
      */
     KernelMode kernel = KernelMode::ActivityDriven;
-
-    /**
-     * Worker-thread budget of the Parallel kernel; ignored by the other
-     * modes. 0 means "auto" (use the hardware concurrency). Thread
-     * count never affects simulation results — traces and vector clocks
-     * are bit-identical for every value — only wall-clock speed. The
-     * VIDI_THREADS environment variable overrides this field (see
-     * resolveSimThreads()).
-     */
-    unsigned sim_threads = 0;
 
     /// @name Fault injection & recovery (robustness validation)
     /// @{
@@ -199,11 +186,9 @@ struct VidiConfig
  *   VIDI_JOB_TIMEOUT_MS    -> job_timeout_ms
  *   VIDI_MAX_RETRIES       -> max_retries
  *   VIDI_RETRY_BACKOFF_MS  -> retry_backoff_ms
- *   VIDI_THREADS           -> sim_threads
  *
- * (VIDI_KERNEL and VIDI_SANITIZE are handled separately by
- * resolveKernelMode()/resolveVidiSanArmed(), which consult the
- * environment on every run.) Unset or non-numeric
+ * (VIDI_KERNEL is handled separately by resolveKernelMode(), which
+ * consults the environment on every run.) Unset or non-numeric
  * variables leave the field untouched. Both the CLI tools and the
  * vidi_serve daemon call this once at startup so deployments can tune
  * supervision without recompiling.

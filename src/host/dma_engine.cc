@@ -30,18 +30,6 @@ DmaEngine::DmaEngine(Simulator &sim, const std::string &name,
     sensitive(*bus.b);
     sensitive(*bus.ar);
     sensitive(*bus.r);
-    // Complete interference contract: drives AW/W/AR and the READY side
-    // of B/R on its five bus channels; with PCIe pacing it also draws
-    // tokens from the shared bandwidth arbiter. Clients that enqueue jobs
-    // (startWrite/startRead) declare couples(engine) from their side.
-    auto fp = declareFootprint()
-                  .readsWrites(*bus.aw)
-                  .readsWrites(*bus.w)
-                  .readsWrites(*bus.b)
-                  .readsWrites(*bus.ar)
-                  .readsWrites(*bus.r);
-    if (pcie_ != nullptr)
-        fp.couples(*pcie_);
 }
 
 void

@@ -16,14 +16,6 @@ MmioMaster::MmioMaster(Simulator &sim, const std::string &name,
     sensitive(*bus.b);
     sensitive(*bus.ar);
     sensitive(*bus.r);
-    // Complete interference contract: drives AW/W/AR and the READY side
-    // of B/R. Clients that enqueue operations declare couples(mmio).
-    declareFootprint()
-        .readsWrites(*bus.aw)
-        .readsWrites(*bus.w)
-        .readsWrites(*bus.b)
-        .readsWrites(*bus.ar)
-        .readsWrites(*bus.r);
 }
 
 void

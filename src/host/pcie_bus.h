@@ -44,10 +44,6 @@ class PcieBus : public Module
           burst_bytes_(burst_bytes)
     {
         setEvalMode(EvalMode::Never);  // no combinational logic
-        // Complete interference contract: the arbiter touches no channels
-        // and only its own token bucket; consumers that call request()
-        // declare couples(bus) from their side.
-        declareFootprint();
     }
 
     /**

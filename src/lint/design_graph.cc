@@ -135,8 +135,6 @@ elaborateDesign(const Simulator &sim, const Boundary *boundary,
             node.role = ModuleRole::Bridge;
         else if (dynamic_cast<const ChannelReplayer *>(m.get()) != nullptr)
             node.role = ModuleRole::Replayer;
-        node.footprint_declared = m->footprintDeclared();
-        node.footprint = m->footprintChannels();
         g.module_index.emplace(m.get(), g.modules.size());
         g.modules.push_back(std::move(node));
     }

@@ -114,13 +114,6 @@ struct ModuleNode
     ModuleRole role = ModuleRole::Plain;
     /** Channels this module declared via sensitive(), in order. */
     std::vector<const ChannelBase *> declared;
-
-    /// @name Partition contract (interference analysis inputs)
-    /// @{
-    bool footprint_declared = false; ///< has a declareFootprint() contract
-    /** Directional footprint entries, including sensitive() reads. */
-    std::vector<FootprintChannel> footprint;
-    /// @}
 };
 
 /** One channel of the elaborated design with its observed access sets. */

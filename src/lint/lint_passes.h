@@ -30,10 +30,6 @@
  *     undriven-but-observed channels, monitors interposed outside the
  *     boundary, and boundaries wider than the trace format's vector
  *     clock (kMaxChannels).
- *
- * Partition safety is not a default pass: `vidi_lint --interference`
- * (src/lint/interference.h) proves each module's declareFootprint()
- * contract and reports the island cut.
  */
 
 #ifndef VIDI_LINT_LINT_PASSES_H

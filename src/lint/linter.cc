@@ -66,8 +66,6 @@ AppLintResult::toString() const
     out += "calibration: " + std::to_string(cycles) + " cycles, " +
            (completed ? "workload completed" : "workload incomplete") +
            "\n";
-    if (has_interference)
-        out += interference.toString();
     out += report.toString();
     return out;
 }
@@ -81,8 +79,6 @@ AppLintResult::toJson() const
     v.set("cycles", cycles);
     v.set("design", design_summary);
     v.set("report", report.toJson());
-    if (has_interference)
-        v.set("interference", interference.toJson());
     return v;
 }
 
@@ -175,11 +171,6 @@ lintApp(AppBuilder &app, const LintOptions &opts)
         elaborateDesign(sim, &shim.boundary(), tracker);
     result.design_summary = graph.summary();
     runLintPasses(graph, result.report);
-
-    if (opts.interference) {
-        passInterference(graph, result.report, &result.interference);
-        result.has_interference = true;
-    }
 
     if (opts.dynamic_checks)
         mergeDynamicFindings(sim, axi_checkers, lite_checkers,

@@ -28,7 +28,6 @@
 
 #include "core/app_interface.h"
 #include "lint/design_graph.h"
-#include "lint/interference.h"
 #include "lint/json.h"
 #include "lint/lint_report.h"
 
@@ -51,10 +50,6 @@ struct LintOptions
     /** Also run protocol/AXI checkers and merge their violations. */
     bool dynamic_checks = false;
 
-    /** Also run the interference analysis (pass "interference") and
-     *  attach its full result to AppLintResult::interference. */
-    bool interference = false;
-
     /** Cycle budget for the calibration run. */
     uint64_t max_cycles = 120'000'000;
 };
@@ -72,10 +67,6 @@ struct AppLintResult
     uint64_t cycles = 0;
     /** One-line design statistics (see DesignGraph::summary()). */
     std::string design_summary;
-
-    /** Filled when LintOptions::interference was set. */
-    bool has_interference = false;
-    InterferenceResult interference;
 
     std::string toString() const;
     JsonValue toJson() const;

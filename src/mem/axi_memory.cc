@@ -19,16 +19,6 @@ AxiMemory::AxiMemory(Simulator &sim, const std::string &name,
     sensitive(*bus.b);
     sensitive(*bus.ar);
     sensitive(*bus.r);
-    // Channel half of the interference contract: serves all five bus
-    // channels in both directions. The backing DramModel is caller-owned
-    // and possibly shared, so the *builder* that knows the sharing adds
-    // the matching state token (see e.g. HlsAppBuilder::build).
-    declareFootprint()
-        .readsWrites(*bus.aw)
-        .readsWrites(*bus.w)
-        .readsWrites(*bus.b)
-        .readsWrites(*bus.ar)
-        .readsWrites(*bus.r);
 }
 
 uint64_t

@@ -53,10 +53,6 @@ class AxiMemory : public Module
     setPcieBus(PcieBus *bus)
     {
         pcie_ = bus;
-        // Paced data beats draw tokens from the shared arbiter — part of
-        // this module's interference footprint from now on.
-        if (bus != nullptr)
-            declareFootprint().couples(*bus);
     }
 
     /**

@@ -29,13 +29,6 @@ ChannelMonitor::ChannelMonitor(const std::string &name, ChannelBase &src,
     // the two channels changed (the seed pass covers state changes).
     sensitive(src_);
     sensitive(dst_);
-    // Complete interference contract: the monitor touches exactly its two
-    // channels (both directions of each — it forwards VALID/payload and
-    // READY) and mutates the encoder out of band (reservations + events).
-    declareFootprint()
-        .readsWrites(src_)
-        .readsWrites(dst_)
-        .couples(encoder_);
 }
 
 uint64_t

@@ -21,11 +21,6 @@ ChannelReplayer::ChannelReplayer(const std::string &name, ChannelBase &inner,
     // eval() drives inner_ purely from registered state; within a cycle
     // it only needs re-running when the channel itself changed.
     sensitive(inner_);
-    // Drives inner_ and reads its handshake; pops this channel's queue
-    // from the decoder and compares against the coordinator's clock by
-    // direct calls.
-    declareFootprint().readsWrites(inner_).couples(decoder).couples(
-        coordinator);
 }
 
 uint64_t

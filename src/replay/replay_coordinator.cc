@@ -23,9 +23,6 @@ ReplayCoordinator::ReplayCoordinator(const std::string &name, TraceMeta meta,
     validation_.meta = meta_;
     validation_.meta.record_output_content = true;
     setEvalMode(EvalMode::Never);  // observes in tickLate only
-    auto fp = declareFootprint();
-    for (ChannelBase *ch : inner_)
-        fp.reads(*ch);
 }
 
 void
@@ -112,12 +109,6 @@ ReplayCoordinator::configureWatchdog(
     watchdog_horizon_ = horizon_cycles;
     decoder_ = decoder;
     watched_ = std::move(replayers);
-    // The watchdog reads decoder and replayer state by direct calls.
-    auto fp = declareFootprint();
-    if (decoder_ != nullptr)
-        fp.couples(*decoder_);
-    for (const ChannelReplayer *rep : watched_)
-        fp.couples(*rep);
     last_progress_ = 0;
     no_progress_cycles_ = 0;
     tripped_ = false;

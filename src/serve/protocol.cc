@@ -53,7 +53,8 @@ isRetryable(JobStatus status)
 namespace {
 
 // v3: FaultSpec grew the worker-process fault fields.
-constexpr uint8_t kRequestVersion = 3;
+// v4: the thread-count field is gone.
+constexpr uint8_t kRequestVersion = 4;
 constexpr uint8_t kReplyVersion = 1;
 
 /** Decode under the StateReader's SimFatal contract -> bool + err. */
@@ -89,7 +90,6 @@ JobRequest::encode() const
     w.u64(step_budget);
     w.str(trace_path);
     w.u64(job_timeout_ms);
-    w.u32(sim_threads);
     saveFaultSpec(w, fault);
     w.endSection(mark);
     return w.data();
@@ -115,7 +115,6 @@ JobRequest::decode(const std::vector<uint8_t> &payload, JobRequest *out,
         out->step_budget = s.u64();
         out->trace_path = s.str();
         out->job_timeout_ms = s.u64();
-        out->sim_threads = s.u32();
         out->fault = loadFaultSpec(s);
         s.expectEnd();
         r.expectEnd();

@@ -93,12 +93,6 @@ struct JobRequest
     std::string trace_path;  ///< Record: output; Replay/Verify: input
     /** Per-job wall-clock budget override; 0 = server default. */
     uint64_t job_timeout_ms = 0;
-    /**
-     * Parallel-kernel thread budget for this tenant's session; 0 keeps
-     * the server default. Clamped by ServeOptions::max_sim_threads so
-     * one tenant cannot oversubscribe a shared host.
-     */
-    uint32_t sim_threads = 0;
     /** Server-side fault injection for this tenant's session. */
     FaultSpec fault;
 

@@ -48,20 +48,6 @@ makeManifest(const ServeOptions &opts, const JobRequest &request)
     // The request's FaultSpec is the server-side injection hook:
     // faults are scoped to this tenant's session and nothing else.
     manifest.cfg.fault = request.fault;
-    // Parallel-kernel thread budget: explicit request beats the
-    // server template, and either is clamped per worker. A config
-    // value of 0 would mean "auto" (hardware concurrency) inside
-    // the session — with `workers` concurrent sessions that is an
-    // oversubscription footgun, so 0 resolves to 1 here and only
-    // an explicit opt-in pays for threads.
-    unsigned sim_threads = request.sim_threads != 0
-                               ? request.sim_threads
-                               : opts.base_cfg.sim_threads;
-    if (sim_threads == 0)
-        sim_threads = 1;
-    if (opts.max_sim_threads != 0 && sim_threads > opts.max_sim_threads)
-        sim_threads = opts.max_sim_threads;
-    manifest.cfg.sim_threads = sim_threads;
     return manifest;
 }
 

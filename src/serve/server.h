@@ -32,7 +32,7 @@
  * worker *process* (WorkerPool, worker.h) per job, extending that
  * containment to real faults — SIGSEGV, SIGABRT, OOM kills, wedged
  * eval loops — with per-tenant crash-loop quarantine and disk quotas
- * on top. See DESIGN.md §14 for the worker lifecycle state machine.
+ * on top. See DESIGN.md §12 for the worker lifecycle state machine.
  *
  * Shutdown (SIGTERM / Shutdown request / requestShutdown): stop
  * accepting, reject still-queued jobs with retryable ShuttingDown
@@ -82,15 +82,6 @@ struct ServeOptions
      */
     uint64_t max_job_timeout_ms = 3'600'000;
     uint64_t io_timeout_ms = 5'000; ///< per-connection socket timeout
-    /**
-     * Per-worker clamp on a session's Parallel-kernel thread count
-     * (0 = no cap). The daemon already runs `workers` sessions
-     * concurrently; without this cap each tenant could request enough
-     * sim threads to oversubscribe the host `workers`-fold. Thread
-     * count never affects simulation results, so clamping is always
-     * safe.
-     */
-    unsigned max_sim_threads = 4;
     size_t reply_cache_capacity = 256;  ///< idempotency window (jobs)
     VidiConfig base_cfg;      ///< shim config template for sessions
 

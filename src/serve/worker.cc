@@ -21,7 +21,8 @@ namespace vidi {
 
 namespace {
 
-constexpr uint8_t kWorkerJobVersion = 1;
+// v2: the embedded VidiConfig lost its thread-count field.
+constexpr uint8_t kWorkerJobVersion = 2;
 
 /** Decode under the StateReader's SimFatal contract -> bool + err. */
 template <typename Fn>

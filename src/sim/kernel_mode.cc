@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <string>
-#include <thread>
 
 namespace vidi {
 
@@ -14,8 +13,6 @@ kernelModeName(KernelMode mode)
         return "full-eval";
     case KernelMode::ActivityDriven:
         return "activity-driven";
-    case KernelMode::Parallel:
-        return "parallel";
     }
     return "?";
 }
@@ -33,46 +30,7 @@ resolveKernelMode(KernelMode configured)
         return KernelMode::FullEval;
     if (v == "activity" || v == "activitydriven" || v == "activity-driven")
         return KernelMode::ActivityDriven;
-    if (v == "parallel" || v == "par")
-        return KernelMode::Parallel;
     return configured;
-}
-
-bool
-resolveVidiSanArmed()
-{
-#ifdef VIDI_SANITIZE_VIDI
-    return true;
-#else
-    const char *env = std::getenv("VIDI_SANITIZE");
-    if (env == nullptr)
-        return false;
-    std::string v(env);
-    for (char &c : v)
-        c = (c >= 'A' && c <= 'Z') ? char(c - 'A' + 'a') : c;
-    return v == "vidi";
-#endif
-}
-
-unsigned
-resolveSimThreads(unsigned configured)
-{
-    unsigned threads = configured;
-    const char *env = std::getenv("VIDI_THREADS");
-    if (env != nullptr && *env != '\0') {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (end != nullptr && *end == '\0')
-            threads = unsigned(v);
-    }
-    if (threads == 0) {
-        threads = std::thread::hardware_concurrency();
-        if (threads == 0)
-            threads = 1;
-    }
-    if (threads > 256)
-        threads = 256;
-    return threads;
 }
 
 } // namespace vidi

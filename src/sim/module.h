@@ -32,7 +32,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace vidi {
 
@@ -57,21 +56,6 @@ class StateWriter;
  *   the activity-driven kernel skips the virtual call entirely.
  */
 enum class EvalMode : uint8_t { Never, OnDemand, EveryCycle };
-
-/** Direction(s) of channel access a footprint entry licenses. */
-enum class FootprintDir : uint8_t
-{
-    Read = 1,       ///< may read the channel's signals/payload
-    Write = 2,      ///< may drive the channel's signals/payload
-    ReadWrite = 3,  ///< both
-};
-
-/** One declared channel of a module's static footprint. */
-struct FootprintChannel
-{
-    const ChannelBase *channel = nullptr;
-    FootprintDir dir = FootprintDir::ReadWrite;
-};
 
 /**
  * A named, clocked hardware module.
@@ -169,102 +153,6 @@ class Module
     void markNeedsEval() { needs_eval_ = true; }
     /// @}
 
-    /// @name Partition footprint (read by the island partitioner)
-    /// @{
-    /**
-     * Whether this module called declareFootprint(). This is the one
-     * partition contract: a module leaves the residual island exactly
-     * when it declared its footprint (see src/par/partition.h). The
-     * interference analysis (src/lint/interference.h) proves the
-     * declaration against the calibration run and VidiSan enforces it
-     * at runtime.
-     */
-    bool footprintDeclared() const { return footprint_declared_; }
-
-    /**
-     * Channel footprint with access directions, in declaration order.
-     * sensitive() contributes read entries even without a contract, so
-     * the partitioner also sees which channels an undeclared module
-     * reads.
-     */
-    const std::vector<FootprintChannel> &
-    footprintChannels() const
-    {
-        return footprint_;
-    }
-
-    /**
-     * Named shared-state tokens this module declared (non-channel
-     * mutable state reached by direct object reference, e.g.
-     * "host-dram"). Modules declaring the same token are co-located by
-     * the partitioner; VidiSan licenses runtime accesses to a token
-     * only from the declarers' island.
-     */
-    const std::vector<std::string> &
-    sharedStateTokens() const
-    {
-        return state_tokens_;
-    }
-
-    /**
-     * Modules this module declared direct (non-channel) coupling with
-     * via FootprintBuilder::couples(). The partitioner keeps coupled
-     * modules in the same island.
-     */
-    const std::vector<const Module *> &
-    coupledModules() const
-    {
-        return couples_;
-    }
-
-    /**
-     * Fluent collector returned by declareFootprint(). Each call merges
-     * into the module's footprint: directions OR together on repeated
-     * channels, state tokens and couplings deduplicate.
-     */
-    class FootprintBuilder
-    {
-      public:
-        /** This module may read @p ch (signals or payload). */
-        FootprintBuilder &reads(ChannelBase &ch);
-        /** This module may drive @p ch. */
-        FootprintBuilder &writes(ChannelBase &ch);
-        /** This module may both read and drive @p ch. */
-        FootprintBuilder &readsWrites(ChannelBase &ch);
-        /** This module touches the named shared (non-channel) state. */
-        FootprintBuilder &state(std::string token);
-        /** This module calls into / shares buffers with @p peer. */
-        FootprintBuilder &couples(const Module &peer);
-
-      private:
-        friend class Module;
-        explicit FootprintBuilder(Module &m) : m_(m) {}
-        Module &m_;
-    };
-
-    /**
-     * Declare this module's *complete* static footprint: every channel
-     * it may read or drive (with direction), every named shared-state
-     * object it touches, and every module it is directly coupled to.
-     * Channels passed to sensitive() count as declared reads.
-     *
-     * Calling this — even with no entries — asserts completeness: the
-     * module touches nothing beyond what it declares. The interference
-     * analysis checks the assertion against the calibration run
-     * (observed ⊆ declared, per direction) and VidiSan enforces it at
-     * runtime, which is what licenses the partitioner to place the
-     * module outside the residual island.
-     *
-     * Public (unlike sensitive()) because contract facts split
-     * between two owners: a module's own constructor declares the
-     * channels it touches, while the *assembly site* that wires modules
-     * together declares couplings and shared-state tokens only it knows
-     * about (register-file callbacks into a kernel, which DRAM instance
-     * a slave decodes into).
-     */
-    FootprintBuilder declareFootprint();
-    /// @}
-
     /** The simulator that owns this module (set on registration). */
     const Simulator *owner() const { return owner_sim_; }
 
@@ -275,17 +163,16 @@ class Module
     /**
      * The owning simulator's current cycle. Valid from any phase hook
      * (eval/tick/tickLate): the cycle counter only advances between
-     * cycles, so the value is phase-stable — including under the
-     * Parallel kernel, where it is frozen for the whole phase barrier
-     * window. Panics when the module was never registered.
+     * cycles, so the value is phase-stable. Panics when the module was
+     * never registered.
      */
     uint64_t nowCycle() const;
 
     /**
      * Declare that eval() reads @p ch: the channel will mark this module
      * for re-evaluation whenever one of its signals changes. A
-     * scheduling hint that also adds a read entry to the footprint; it
-     * is not a contract on its own.
+     * scheduling hint for the activity-driven kernel; the lint's
+     * sensitivity-soundness pass checks it against observed reads.
      */
     void sensitive(ChannelBase &ch);
 
@@ -297,13 +184,7 @@ class Module
     EvalMode eval_mode_ = EvalMode::EveryCycle;
     bool needs_eval_ = true;
     bool has_sensitivities_ = false;
-    bool footprint_declared_ = false;
     uint64_t eval_count_ = 0;
-    std::vector<const Module *> couples_;
-    std::vector<FootprintChannel> footprint_;
-    std::vector<std::string> state_tokens_;
-
-    void addFootprint(ChannelBase &ch, FootprintDir dir);
 };
 
 } // namespace vidi

@@ -20,9 +20,6 @@ TraceDecoder::TraceDecoder(const std::string &name, TraceMeta meta,
         fatal("TraceDecoder: worst-case packet of %zu bytes exceeds the "
               "4096-byte parse buffer", max_pkt);
     setEvalMode(EvalMode::Never);  // no combinational logic
-    // Parses the store's bytes through peek()/consume() calls, not a
-    // channel, so the two must share an island.
-    declareFootprint().couples(store_);
 }
 
 bool

@@ -18,9 +18,6 @@ TraceEncoder::TraceEncoder(const std::string &name, TraceMeta meta,
         fatal("TraceEncoder: %zu channels unsupported (max %zu)",
               meta_.channelCount(), kMaxChannels);
     setEvalMode(EvalMode::Never);  // no combinational logic
-    // Complete interference contract: no channel accesses; appends packets
-    // into the trace store out of band.
-    declareFootprint().couples(store_);
 }
 
 size_t

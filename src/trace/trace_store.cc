@@ -78,10 +78,6 @@ TraceStore::TraceStore(const std::string &name, HostMemory &host,
     : Module(name), host_(host), bus_(bus), fifo_(fifo_bytes)
 {
     setEvalMode(EvalMode::Never);  // no combinational logic
-    // Complete interference contract: no channel accesses; drains trace
-    // lines into the host-DRAM trace region and draws shared PCIe
-    // bandwidth tokens from the bus arbiter.
-    declareFootprint().state("host-dram").couples(bus_);
 }
 
 void

@@ -573,10 +573,9 @@ TraceReader::loadFrame(size_t idx)
             image_.size())
         h.body_bytes = 0;  // force the damage path below
     else {
-        std::vector<uint8_t> scratch;
         size_t raw_len = 0;
         const uint8_t *body = fetchFrameBody(
-            image_.data(), size_t(e.offset), h, scratch, raw_len);
+            image_.data(), size_t(e.offset), h, scratch_, raw_len);
         if (body != nullptr && ((h.flags & 1) != 0) == has_cycles_ &&
             decodeFrameBody(meta_, delta_, body, raw_len, h.packet_count,
                             has_cycles_, h.first_cycle, cur_pkts_,

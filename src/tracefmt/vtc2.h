@@ -240,6 +240,9 @@ class TraceReader
     std::string context_;
     TraceMeta meta_;
     FrameDeltaState delta_;  ///< built from meta_, reused by every frame
+    /** LZ output of the current frame; reused so loading a compressed
+     *  frame allocates only when it outgrows every earlier one. */
+    std::vector<uint8_t> scratch_;
     bool has_cycles_ = false;
     bool index_rebuilt_ = false;
     uint64_t packet_count_ = 0;

@@ -230,6 +230,45 @@ TEST(Session, ManifestRoundtripsThroughDisk)
     EXPECT_EQ(m.cfg.fault.crash_at_cycle, 42u);
 }
 
+/** Session::open(@p dir)'s SimFatal message; fails if it opens. */
+std::string
+openFailure(const std::string &dir)
+{
+    try {
+        Session::open(dir);
+    } catch (const SimFatal &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << dir << " opened";
+    return "";
+}
+
+TEST(Session, VersionOneManifestIsRefused)
+{
+    // A v1 manifest carried a thread-count field the v2 config no longer
+    // has; its magic alone must turn it away before the body is read.
+    const std::string dir = tempPath("ssn_manifest_v1");
+    Session::create(dir, testManifest());
+    std::vector<uint8_t> bytes = readFileBytes(dir + "/manifest.vssn");
+    ASSERT_EQ(bytes[7], uint8_t('2'));
+    bytes[7] = uint8_t('1');
+    writeFileAtomic(dir + "/manifest.vssn", bytes);
+    EXPECT_NE(openFailure(dir).find("not a Vidi session manifest"),
+              std::string::npos);
+}
+
+TEST(Session, UnknownKernelByteIsRefused)
+{
+    // Byte value 2 names no kernel. The manifest is written by the real
+    // encoder, so magic, length and CRC are all valid.
+    const std::string dir = tempPath("ssn_manifest_kernel");
+    SessionManifest m = testManifest();
+    m.cfg.kernel = KernelMode(2);
+    Session::create(dir, m);
+    EXPECT_NE(openFailure(dir).find("unknown kernel mode 2"),
+              std::string::npos);
+}
+
 CheckpointImage
 imageAt(uint64_t cycle)
 {

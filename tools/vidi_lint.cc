@@ -12,12 +12,6 @@
  *   --dynamic     also arm the per-channel protocol checkers and the
  *                 per-interface AXI ordering checkers during the
  *                 calibration run and merge their violations
- *   --interference
- *                 also run the interference analysis: per-module
- *                 partition-safety verdicts (proven / unsafe-with-witness
- *                 / unknown), the pairwise interference graph, and the
- *                 island-cut preview. An unprovable promotion is an
- *                 Error (nonzero exit)
  *   --scale <s>   calibration workload scale (default 0.1)
  *   --seed <n>    calibration run seed (default 1)
  *   --mask <hex>  monitored-channel mask, as VidiConfig::monitor_mask
@@ -53,7 +47,7 @@ int
 usage()
 {
     std::fputs("usage:\n"
-               "  vidi_lint <app> [--json] [--dynamic] [--interference] "
+               "  vidi_lint <app> [--json] [--dynamic] "
                "[--scale s] [--seed n] [--mask hex] [--out path]\n"
                "  vidi_lint --all [same options]\n"
                "  vidi_lint --list\n",
@@ -87,8 +81,6 @@ parseArgs(int argc, char **argv, CliArgs &out)
             out.json = true;
         } else if (arg == "--dynamic") {
             out.opts.dynamic_checks = true;
-        } else if (arg == "--interference") {
-            out.opts.interference = true;
         } else if (arg == "--scale") {
             const char *v = value();
             if (v == nullptr)

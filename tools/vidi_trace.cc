@@ -27,12 +27,10 @@
  *       recording under the same kernel, and print both runs'
  *       simulation-kernel counters: eval passes, per-module eval counts,
  *       cycles skipped and the encoder packet-pool hit rate. kernel is
- *       "activity" (default), "full", "parallel" (adds per-island
- *       columns: module counts, eval passes, executed/skipped cycles
- *       and the max/mean imbalance; VIDI_THREADS sizes the pool), or
- *       "both" (full/activity/parallel A/B with the reductions, a
- *       byte-identity check across all three traces, and a check that
- *       all three replays agree on cycles and validation trace)
+ *       "activity" (default), "full", or "both" (full/activity A/B
+ *       with the reductions, a byte-identity check of the two traces,
+ *       and a check that both replays agree on cycles and validation
+ *       trace)
  *   vidi_trace checkpoint <dir>                  inspect a session
  *       directory: manifest, journal entries, which checkpoint recovery
  *       would resume from and why newer ones were skipped
@@ -124,11 +122,9 @@ usage()
         "      record a Table 1 app and save its trace; with --session\n"
         "      the run checkpoints into <dir> and is resumable\n"
         "  vidi_trace stats <app> [scale] "
-        "[activity|full|parallel|both]\n"
+        "[activity|full|both]\n"
         "      record and replay an app and print both runs'\n"
         "      simulation-kernel counters\n"
-        "      (parallel adds per-island columns; VIDI_THREADS sizes "
-        "the pool)\n"
         "  vidi_trace checkpoint <dir>\n"
         "      inspect a session: manifest, journal, resume point\n"
         "  vidi_trace resume <dir>\n"
@@ -699,17 +695,14 @@ cmdStats(const std::string &app_name, double scale,
     const auto apps = makeTable1Apps();
     AppBuilder *app = findApp(apps, app_name);
 
-    if (kernel == "activity" || kernel == "full" ||
-        kernel == "parallel") {
+    if (kernel == "activity" || kernel == "full") {
         statsRun(*app, scale,
-                 kernel == "full"       ? KernelMode::FullEval
-                 : kernel == "parallel" ? KernelMode::Parallel
-                                        : KernelMode::ActivityDriven);
+                 kernel == "full" ? KernelMode::FullEval
+                                  : KernelMode::ActivityDriven);
         return 0;
     }
     if (kernel != "both")
-        fatal("unknown kernel '%s' (want activity, full, parallel or "
-              "both)",
+        fatal("unknown kernel '%s' (want activity, full or both)",
               kernel.c_str());
 
     std::printf("=== %s, scale %.2f, full-eval kernel ===\n",
@@ -718,26 +711,15 @@ cmdStats(const std::string &app_name, double scale,
     std::printf("\n=== %s, scale %.2f, activity-driven kernel ===\n",
                 app_name.c_str(), scale);
     const StatsRun act = statsRun(*app, scale, KernelMode::ActivityDriven);
-    std::printf("\n=== %s, scale %.2f, parallel kernel ===\n",
-                app_name.c_str(), scale);
-    const StatsRun par = statsRun(*app, scale, KernelMode::Parallel);
 
-    const std::vector<uint8_t> full_bytes = full.record.trace.serialize();
-    if (full_bytes != act.record.trace.serialize())
+    if (full.record.trace.serialize() != act.record.trace.serialize())
         fatal("stats: full-eval and activity kernels produced "
               "different traces — determinism bug");
-    if (full_bytes != par.record.trace.serialize())
-        fatal("stats: full-eval and parallel kernels produced "
-              "different traces — determinism bug");
-    for (const StatsRun *other : {&act, &par}) {
-        if (other->replay.cycles != full.replay.cycles ||
-            !(other->replay.validation == full.replay.validation))
-            fatal("stats: full-eval and %s kernels replayed "
-                  "differently — determinism bug",
-                  kernelModeName(other->replay.kernel.mode));
-    }
-    std::printf("\ntraces byte-identical: yes (full = activity = "
-                "parallel)\n");
+    if (act.replay.cycles != full.replay.cycles ||
+        !(act.replay.validation == full.replay.validation))
+        fatal("stats: full-eval and activity kernels replayed "
+              "differently — determinism bug");
+    std::printf("\ntraces byte-identical: yes (full = activity)\n");
     std::printf("replays identical:     yes (cycles and validation)\n");
     auto reductions = [](const char *what, const KernelStats &f,
                          const KernelStats &a) {
