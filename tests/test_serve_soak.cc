@@ -17,10 +17,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "apps/app_registry.h"
 #include "checkpoint/atomic_file.h"
@@ -70,7 +73,11 @@ reference(const std::string &name)
     auto it = cache.find(name);
     if (it != cache.end())
         return it->second;
-    const std::string dir = tempDir(name, "ref");
+    // One directory per process, removed once read: ctest runs every
+    // test as its own process, often at the same time, and processes
+    // sharing one reference file race on its atomic rename.
+    const std::string dir =
+        tempDir(name, "ref_" + std::to_string(::getpid()));
     const std::string out = dir + "/ref.vtrc";
     auto app = makeApp(name);
     const RecordResult rec =
@@ -81,6 +88,8 @@ reference(const std::string &name)
     ref.cycles = rec.cycles;
     ref.digest = rec.digest;
     ref.trace_bytes = readFileBytes(out);
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
     return cache.emplace(name, std::move(ref)).first->second;
 }
 
